@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   pf::util::CsvWriter csv(pf::bench::output_path("fig3_interpolation.csv"),
                           {"step", "password", "log_prob"});
   const auto log_probs =
-      model->log_prob(env.encoder.encode_batch([&] {
+      model->log_prob_batch(env.encoder.encode_batch([&] {
         // Re-encode decoded strings for density evaluation; filter nothing
         // since decode always produces representable passwords.
         return path;

@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
 
   // Calibrate: density quantiles of real (corpus) passwords.
   std::vector<std::string> sample(corpus.begin(), corpus.begin() + 2000);
-  std::vector<double> corpus_lp = model.log_prob(encoder.encode_batch(sample));
+  std::vector<double> corpus_lp =
+      model.log_prob_batch(encoder.encode_batch(sample));
   std::sort(corpus_lp.begin(), corpus_lp.end());
   auto quantile = [&](double q) {
     return corpus_lp[static_cast<std::size_t>(
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
                   password.c_str());
       continue;
     }
-    const auto lp = model.log_prob(encoder.encode_batch({password}));
+    const auto lp = model.log_prob_batch(encoder.encode_batch({password}));
     scored.push_back({password, lp[0]});
   }
   std::sort(scored.begin(), scored.end(),

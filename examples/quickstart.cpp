@@ -60,7 +60,7 @@ int main() {
   }
 
   // 6. Exact log-likelihoods — the flow-model superpower (no ELBO bound).
-  const auto log_probs = model.log_prob(
+  const auto log_probs = model.log_prob_batch(
       encoder.encode_batch({"123456", "jessica1", "zq0x!vk2"}));
   std::printf("\nexact log p(x):\n");
   std::printf("  123456   -> %8.2f (very common)\n", log_probs[0]);

@@ -67,7 +67,7 @@ NeighborhoodStats probe_neighborhood(const flow::FlowModel& model,
 
   if (!valid.empty()) {
     const nn::Matrix features = encoder.encode_batch(valid);
-    const auto log_probs = model.log_prob(features);
+    const auto log_probs = model.log_prob_batch(features);
     double acc = 0.0;
     for (double lp : log_probs) acc += lp;
     stats.mean_log_prob = acc / static_cast<double>(log_probs.size());

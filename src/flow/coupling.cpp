@@ -24,12 +24,6 @@ void apply_mask_into(const nn::Matrix& x, const std::vector<float>& mask,
   }
 }
 
-nn::Matrix apply_mask(const nn::Matrix& x, const std::vector<float>& mask) {
-  nn::Matrix out;
-  apply_mask_into(x, mask, out);
-  return out;
-}
-
 // s = scale * tanh(s_raw), the Real NVP bounded-scale transform. Shared by
 // the training and inference paths so the formula lives in one place; `s`
 // must not alias `s_raw`.
@@ -45,6 +39,30 @@ void bounded_scale_into(const nn::Matrix& s_raw, const nn::Matrix& scale_vec,
     }
   }
 }
+
+// z = b.x + (1-b).(x.exp(s) + t) (Eq. 13), adding each row's log|det J| =
+// sum_j ((1-b).s)_j (Eq. 12) into log_det when it is non-null. The one copy
+// of the combine, shared by the training and inference forwards so both
+// produce bitwise-equal z and log-det.
+void affine_combine_into(const nn::Matrix& x, const nn::Matrix& s,
+                         const nn::Matrix& t, const std::vector<float>& mask,
+                         std::vector<double>* log_det, nn::Matrix& z) {
+  z.resize(x.rows(), x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const float* xr = x.row(r);
+    const float* sr = s.row(r);
+    const float* tr = t.row(r);
+    float* zr = z.row(r);
+    double ld = 0.0;
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      const float b = mask[c];
+      const float cb = 1.0f - b;
+      zr[c] = b * xr[c] + cb * (xr[c] * std::exp(sr[c]) + tr[c]);
+      ld += static_cast<double>(cb) * sr[c];
+    }
+    if (log_det) (*log_det)[r] += ld;
+  }
+}
 }  // namespace
 
 AffineCoupling::AffineCoupling(std::size_t dim, std::size_t hidden,
@@ -58,23 +76,13 @@ AffineCoupling::AffineCoupling(std::size_t dim, std::size_t hidden,
   }
 }
 
-// Inference-only helper: allocates per call so concurrent callers never
-// share state. The training path (forward_into) uses member workspaces.
-AffineCoupling::STResult AffineCoupling::compute_st(
-    const nn::Matrix& masked_input) const {
-  nn::ResNetST::Output out = net_.forward_inference(masked_input);
-  STResult result;
-  result.s_raw = std::move(out.s_raw);
-  result.t = std::move(out.t);
-  bounded_scale_into(result.s_raw, s_scale_.value, result.s);
-  return result;
-}
-
-nn::Matrix AffineCoupling::forward(const nn::Matrix& x,
-                                   std::vector<double>& log_det) {
-  nn::Matrix z;
-  forward_into(x, log_det, z);
-  return z;
+void AffineCoupling::scale_and_shift(const nn::Matrix& x, nn::Matrix& s,
+                                     nn::Matrix& t) const {
+  nn::Matrix masked;
+  nn::Matrix s_raw;
+  apply_mask_into(x, mask_, masked);
+  net_.forward_inference_into(masked, s_raw, t);
+  bounded_scale_into(s_raw, s_scale_.value, s);
 }
 
 void AffineCoupling::forward_into(const nn::Matrix& x,
@@ -87,54 +95,29 @@ void AffineCoupling::forward_into(const nn::Matrix& x,
   apply_mask_into(x, mask_, masked_ws_);
   net_.forward_into(masked_ws_, cached_s_raw_, t_ws_);
   bounded_scale_into(cached_s_raw_, s_scale_.value, cached_s_);
-
-  z.resize(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const float* xr = x.row(r);
-    const float* sr = cached_s_.row(r);
-    const float* tr = t_ws_.row(r);
-    float* zr = z.row(r);
-    double ld = 0.0;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      const float b = mask_[c];
-      const float cb = 1.0f - b;
-      zr[c] = b * xr[c] + cb * (xr[c] * std::exp(sr[c]) + tr[c]);
-      ld += static_cast<double>(cb) * sr[c];
-    }
-    log_det[r] += ld;
-  }
+  affine_combine_into(x, cached_s_, t_ws_, mask_, &log_det, z);
 }
 
-nn::Matrix AffineCoupling::forward_inference(const nn::Matrix& x,
-                                             std::vector<double>* log_det) const {
-  STResult st = compute_st(apply_mask(x, mask_));
-  nn::Matrix z(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const float* xr = x.row(r);
-    const float* sr = st.s.row(r);
-    const float* tr = st.t.row(r);
-    float* zr = z.row(r);
-    double ld = 0.0;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      const float b = mask_[c];
-      const float cb = 1.0f - b;
-      zr[c] = b * xr[c] + cb * (xr[c] * std::exp(sr[c]) + tr[c]);
-      ld += static_cast<double>(cb) * sr[c];
-    }
-    if (log_det) (*log_det)[r] += ld;
-  }
-  return z;
+void AffineCoupling::forward_inference_into(const nn::Matrix& x,
+                                            std::vector<double>* log_det,
+                                            nn::Matrix& z) const {
+  nn::Matrix s;
+  nn::Matrix t;
+  scale_and_shift(x, s, t);
+  affine_combine_into(x, s, t, mask_, log_det, z);
 }
 
-nn::Matrix AffineCoupling::inverse(const nn::Matrix& z) const {
+void AffineCoupling::inverse_into(const nn::Matrix& z, nn::Matrix& x) const {
   // The conditioning input b.z equals b.x because masked coordinates pass
   // through unchanged, so s and t are recoverable from z alone.
-  STResult st = compute_st(apply_mask(z, mask_));
-  nn::Matrix x(z.rows(), z.cols());
+  nn::Matrix s;
+  nn::Matrix t;
+  scale_and_shift(z, s, t);
+  x.resize(z.rows(), z.cols());
   for (std::size_t r = 0; r < z.rows(); ++r) {
     const float* zr = z.row(r);
-    const float* sr = st.s.row(r);
-    const float* tr = st.t.row(r);
+    const float* sr = s.row(r);
+    const float* tr = t.row(r);
     float* xr = x.row(r);
     for (std::size_t c = 0; c < z.cols(); ++c) {
       const float b = mask_[c];
@@ -145,14 +128,6 @@ nn::Matrix AffineCoupling::inverse(const nn::Matrix& z) const {
       }
     }
   }
-  return x;
-}
-
-nn::Matrix AffineCoupling::backward(const nn::Matrix& grad_z,
-                                    const std::vector<double>& grad_log_det) {
-  nn::Matrix grad_x;
-  backward_into(grad_z, grad_log_det, grad_x);
-  return grad_x;
 }
 
 void AffineCoupling::backward_into(const nn::Matrix& grad_z,

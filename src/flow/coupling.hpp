@@ -30,51 +30,48 @@ class AffineCoupling {
   std::size_t dim() const { return mask_.size(); }
   const std::vector<float>& mask() const { return mask_; }
 
-  // Training forward x -> z. Adds each sample's log-det contribution into
-  // `log_det` (size = batch rows). Caches activations for backward().
-  nn::Matrix forward(const nn::Matrix& x, std::vector<double>& log_det);
-  // Same, writing z into a caller buffer (must not alias x); allocation-free
-  // once warm via member workspaces, so only safe from one trainer thread.
+  // Training forward x -> z (z must not alias x). Adds each sample's
+  // log-det contribution into `log_det` (size = batch rows). Caches what
+  // backward_into needs; allocation-free once warm via member workspaces,
+  // so only safe from one trainer thread.
   void forward_into(const nn::Matrix& x, std::vector<double>& log_det,
                     nn::Matrix& z);
 
-  // Inference forward (no caching, no gradients).
-  nn::Matrix forward_inference(const nn::Matrix& x,
-                               std::vector<double>* log_det = nullptr) const;
-
-  // Exact inverse z -> x (inference only; flows never backprop the inverse).
-  nn::Matrix inverse(const nn::Matrix& z) const;
-
   // Backward for loss terms L(z, log_det): takes dL/dz and dL/d(log_det) per
-  // sample, accumulates parameter gradients, returns dL/dx.
-  nn::Matrix backward(const nn::Matrix& grad_z,
-                      const std::vector<double>& grad_log_det);
+  // sample, accumulates parameter gradients, writes dL/dx.
   void backward_into(const nn::Matrix& grad_z,
                      const std::vector<double>& grad_log_det,
                      nn::Matrix& grad_x);
 
+  // Inference forward x -> z; adds the log-det into `log_det` when it is
+  // non-null. Const and cache-free like the inverse below, so concurrent
+  // calls on one coupling are safe as long as each caller owns its outputs.
+  void forward_inference_into(const nn::Matrix& x,
+                              std::vector<double>* log_det,
+                              nn::Matrix& z) const;
+
+  // Exact inverse z -> x (inference only; flows never backprop the
+  // inverse). x must not alias z.
+  void inverse_into(const nn::Matrix& z, nn::Matrix& x) const;
+
   std::vector<nn::Param*> parameters();
 
  private:
-  struct STResult {
-    nn::Matrix s;      // bounded scale = s_scale * tanh(s_raw)
-    nn::Matrix s_raw;  // cached pre-tanh logits (backward needs them)
-    nn::Matrix t;
-  };
-  STResult compute_st(const nn::Matrix& masked_input) const;
+  // Inference s = s_scale * tanh(s_raw) and t for the conditioning input
+  // b.x, with call-local scratch.
+  void scale_and_shift(const nn::Matrix& x, nn::Matrix& s,
+                       nn::Matrix& t) const;
 
   std::vector<float> mask_;  // b
-  mutable nn::ResNetST net_; // mutable: forward_inference caches nothing but
-                             // must call non-const net entry points
-  nn::Param s_scale_;        // learned per-dim bound on the scale (1 x dim)
+  nn::ResNetST net_;
+  nn::Param s_scale_;  // learned per-dim bound on the scale (1 x dim)
 
   // Training-forward caches.
   nn::Matrix cached_x_;
   nn::Matrix cached_s_;
   nn::Matrix cached_s_raw_;
 
-  // Training-only workspaces (never touched by the const inference paths,
-  // which must stay safe under concurrent calls).
+  // Training-only workspaces.
   nn::Matrix masked_ws_;
   nn::Matrix t_ws_;
   nn::Matrix grad_s_ws_;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/ops.hpp"
@@ -42,65 +43,51 @@ FlowModel::FlowModel(FlowConfig config, util::Rng& rng) : config_(config) {
   }
 }
 
-nn::Matrix FlowModel::forward(const nn::Matrix& x,
-                              std::vector<double>& log_det) {
-  log_det.assign(x.rows(), 0.0);
-  nn::Matrix h = x;
-  for (auto& coupling : couplings_) h = coupling->forward(h, log_det);
-  return h;
-}
-
-nn::Matrix FlowModel::forward_inference(const nn::Matrix& x,
-                                        std::vector<double>* log_det) const {
-  if (log_det) log_det->assign(x.rows(), 0.0);
-  nn::Matrix h = x;
-  for (const auto& coupling : couplings_) {
-    h = coupling->forward_inference(h, log_det);
-  }
-  return h;
-}
-
-nn::Matrix FlowModel::inverse(const nn::Matrix& z) const {
-  nn::Matrix h = z;
-  for (auto it = couplings_.rbegin(); it != couplings_.rend(); ++it) {
-    h = (*it)->inverse(h);
-  }
-  return h;
-}
-
 nn::Matrix FlowModel::forward_inference(const nn::Matrix& x,
                                         std::vector<double>* log_det,
                                         util::ThreadPool* pool) const {
-  if (!worth_chunking(pool, x.rows())) return forward_inference(x, log_det);
   if (log_det) log_det->assign(x.rows(), 0.0);
-  nn::Matrix z(x.rows(), x.cols());
-  pool->parallel_chunks(
-      x.rows(), [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::vector<double> chunk_log_det;
-        const nn::Matrix chunk = forward_inference(
-            x.slice_rows(begin, end), log_det ? &chunk_log_det : nullptr);
-        z.set_rows(begin, chunk);
-        if (log_det) {
-          std::copy(chunk_log_det.begin(), chunk_log_det.end(),
-                    log_det->begin() + static_cast<std::ptrdiff_t>(begin));
-        }
-      });
-  return z;
+  if (worth_chunking(pool, x.rows())) {
+    nn::Matrix z(x.rows(), x.cols());
+    pool->parallel_chunks(
+        x.rows(), [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::vector<double> chunk_log_det;
+          const nn::Matrix chunk = forward_inference(
+              x.slice_rows(begin, end), log_det ? &chunk_log_det : nullptr);
+          z.set_rows(begin, chunk);
+          if (log_det) {
+            std::copy(chunk_log_det.begin(), chunk_log_det.end(),
+                      log_det->begin() + static_cast<std::ptrdiff_t>(begin));
+          }
+        });
+    return z;
+  }
+  nn::Matrix h = x;
+  nn::Matrix next;
+  for (const auto& coupling : couplings_) {
+    coupling->forward_inference_into(h, log_det, next);
+    std::swap(h, next);
+  }
+  return h;
 }
 
 nn::Matrix FlowModel::inverse(const nn::Matrix& z,
                               util::ThreadPool* pool) const {
-  if (!worth_chunking(pool, z.rows())) return inverse(z);
-  nn::Matrix x(z.rows(), z.cols());
-  pool->parallel_chunks(
-      z.rows(), [&](std::size_t, std::size_t begin, std::size_t end) {
-        x.set_rows(begin, inverse(z.slice_rows(begin, end)));
-      });
-  return x;
-}
-
-std::vector<double> FlowModel::log_prob(const nn::Matrix& x) const {
-  return log_prob_batch(x, nullptr);
+  if (worth_chunking(pool, z.rows())) {
+    nn::Matrix x(z.rows(), z.cols());
+    pool->parallel_chunks(
+        z.rows(), [&](std::size_t, std::size_t begin, std::size_t end) {
+          x.set_rows(begin, inverse(z.slice_rows(begin, end)));
+        });
+    return x;
+  }
+  nn::Matrix h = z;
+  nn::Matrix next;
+  for (auto it = couplings_.rbegin(); it != couplings_.rend(); ++it) {
+    (*it)->inverse_into(h, next);
+    std::swap(h, next);
+  }
+  return h;
 }
 
 std::vector<double> FlowModel::log_prob_batch(const nn::Matrix& x,
@@ -114,7 +101,7 @@ std::vector<double> FlowModel::log_prob_batch(const nn::Matrix& x,
   return out;
 }
 
-double FlowModel::nll_backward(const nn::Matrix& x) {
+double FlowModel::nll_backward_serial(const nn::Matrix& x) {
   const std::size_t n = x.rows();
   log_det_ws_.assign(n, 0.0);
 
@@ -172,7 +159,7 @@ double FlowModel::nll_backward(const nn::Matrix& x, util::ThreadPool* pool) {
       (pool != nullptr && pool->size() > 1)
           ? std::min<std::size_t>(pool->size(), rows / kMinRowsPerShard)
           : 0;
-  if (shards < 2) return nll_backward(x);
+  if (shards < 2) return nll_backward_serial(x);
   ensure_replicas(shards);
 
   const auto params = parameters();
@@ -200,7 +187,7 @@ double FlowModel::nll_backward(const nn::Matrix& x, util::ThreadPool* pool) {
     shard.resize(end - begin, x.cols());
     std::copy(x.row(begin), x.row(begin) + shard.size(), shard.data());
 
-    shard_loss[s] = replica.nll_backward(shard);
+    shard_loss[s] = replica.nll_backward_serial(shard);
     shard_rows[s] = end - begin;
   });
 
@@ -232,10 +219,6 @@ double FlowModel::nll_backward(const nn::Matrix& x, util::ThreadPool* pool) {
             static_cast<double>(rows);
   }
   return loss;
-}
-
-double FlowModel::nll(const nn::Matrix& x) const {
-  return nll(x, nullptr);
 }
 
 double FlowModel::nll(const nn::Matrix& x, util::ThreadPool* pool) const {

@@ -31,55 +31,45 @@ class FlowModel {
   const FlowConfig& config() const { return config_; }
   std::size_t dim() const { return config_.dim; }
 
-  // Training forward x -> z; fills per-sample log|det J| (overwritten).
-  nn::Matrix forward(const nn::Matrix& x, std::vector<double>& log_det);
-  // Inference forward without caching.
+  // Inference forward x -> z, filling per-sample log|det J| when log_det
+  // is non-null (overwritten). Const and cache-free: every coupling keeps
+  // its scratch local to the call, so concurrent calls on one model are
+  // safe.
+  //
+  // With a pool of two or more workers and a large enough batch, the rows
+  // are split into contiguous chunks, one per worker, and each chunk runs
+  // the serial path. The map is row-independent, so the result is bitwise
+  // identical to the serial one. The same holds for inverse() and nll().
   nn::Matrix forward_inference(const nn::Matrix& x,
-                               std::vector<double>* log_det = nullptr) const;
+                               std::vector<double>* log_det = nullptr,
+                               util::ThreadPool* pool = nullptr) const;
   // Exact inverse z -> x.
-  nn::Matrix inverse(const nn::Matrix& z) const;
+  nn::Matrix inverse(const nn::Matrix& z,
+                     util::ThreadPool* pool = nullptr) const;
 
-  // Batched-parallel inference: rows are split into contiguous chunks, one
-  // per pool worker, and each chunk runs the serial path. Both the forward
-  // and inverse maps are row-independent, so results are bitwise identical
-  // to the serial overloads. Inference state is const (no caches), making
-  // concurrent calls on one model safe; a null/singleton pool or a small
-  // batch falls back to the serial path.
-  nn::Matrix forward_inference(const nn::Matrix& x, std::vector<double>* log_det,
-                               util::ThreadPool* pool) const;
-  nn::Matrix inverse(const nn::Matrix& z, util::ThreadPool* pool) const;
-
-  // Exact log p(x) per sample (Eq. 5 with standard-normal prior).
-  std::vector<double> log_prob(const nn::Matrix& x) const;
-
-  // Per-sample log p(x) over a batch, optionally row-chunked across the
-  // pool. Built on forward_inference (allocation-local, never the training
-  // workspaces), so concurrent calls on one model are safe and every row's
-  // value is bitwise identical whether scored alone, inside any batch, or
-  // with any pool size — the guarantee the serving layer's micro-batching
-  // relies on. log_prob() is the serial special case.
+  // Per-sample exact log p(x) (Eq. 5 with a standard-normal prior), built
+  // on forward_inference. Every row's value is bitwise identical whether
+  // scored alone, inside any batch, or with any pool size — the guarantee
+  // the serving layer's micro-batching relies on.
   std::vector<double> log_prob_batch(const nn::Matrix& x,
                                      util::ThreadPool* pool = nullptr) const;
 
-  // Computes mean NLL of the batch (Eq. 7-8), accumulates parameter
-  // gradients, and returns the loss. Callers zero_grad + optimizer-step.
-  double nll_backward(const nn::Matrix& x);
+  // Mean NLL of the batch (Eq. 7-8) without gradients (validation).
+  double nll(const nn::Matrix& x, util::ThreadPool* pool = nullptr) const;
 
-  // Batch-parallel training step: splits the batch into one contiguous
-  // shard per pool worker, runs forward+backward on a persistent per-worker
-  // model replica (its own caches, its own gradient buffers), then combines
-  // the shard gradients with a fixed-shape pairwise tree reduction weighted
-  // by shard size. Shard boundaries, tree shape and summation order depend
-  // only on (batch size, pool size), so gradients are bitwise reproducible
-  // across runs at a fixed pool size. Falls back to the serial path for a
-  // null/singleton pool or a small batch. Replicas sync parameter values
-  // from this model at the start of every call.
-  double nll_backward(const nn::Matrix& x, util::ThreadPool* pool);
-
-  // Same loss without gradients (validation).
-  double nll(const nn::Matrix& x) const;
-  // Pooled variant: row-chunked forward_inference, bitwise identical.
-  double nll(const nn::Matrix& x, util::ThreadPool* pool) const;
+  // Computes the mean NLL of the batch, accumulates parameter gradients,
+  // and returns the loss. Callers zero_grad + optimizer-step.
+  //
+  // With a pool of two or more workers and a large enough batch, the batch
+  // is split into one contiguous shard per worker. Each shard runs
+  // forward+backward on a persistent per-worker model replica (its own
+  // caches, its own gradient buffers), and the shard gradients are combined
+  // with a fixed-shape pairwise tree reduction weighted by shard size.
+  // Shard boundaries, tree shape and summation order depend only on (batch
+  // size, pool size), so gradients are bitwise reproducible across runs at
+  // a fixed pool size. Replicas sync parameter values from this model at
+  // the start of every call.
+  double nll_backward(const nn::Matrix& x, util::ThreadPool* pool = nullptr);
 
   std::vector<nn::Param*> parameters();
   std::size_t parameter_count();
@@ -89,6 +79,8 @@ class FlowModel {
   void load(const std::string& path);
 
  private:
+  // The single-threaded nll_backward, run by this model or by a replica.
+  double nll_backward_serial(const nn::Matrix& x);
   void ensure_replicas(std::size_t count);
 
   FlowConfig config_;

@@ -1,9 +1,11 @@
 #include "flow/trainer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,6 +86,12 @@ TrainResult Trainer::train(
     while (dataset.next_batch(config_.batch_size, rng, batch) > 0) {
       model_.zero_grad();
       const double loss = model_.nll_backward(batch, config_.pool);
+      if (!std::isfinite(loss)) {
+        throw std::runtime_error("training diverged: non-finite loss " +
+                                 std::to_string(loss) + " at epoch " +
+                                 std::to_string(epoch) + ", batch " +
+                                 std::to_string(batches));
+      }
       optimizer.step();
       epoch_loss += loss;
       ++batches;

@@ -103,7 +103,7 @@ std::vector<ScoredGuess> ConditionalGuesser::complete(
     }
     if (valid.empty()) continue;
     const auto log_probs =
-        model_->log_prob(encoder_->encode_batch(valid));
+        model_->log_prob_batch(encoder_->encode_batch(valid));
     for (std::size_t i = 0; i < valid.size(); ++i) {
       auto [it, inserted] = best.emplace(valid[i], log_probs[i]);
       if (!inserted) it->second = std::max(it->second, log_probs[i]);

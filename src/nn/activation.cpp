@@ -41,7 +41,8 @@ float activate_grad(ActKind kind, float x, float leak) {
 // Hoists the kind switch out of the elementwise loop so each branch is a
 // tight `#pragma omp simd` loop (ReLU variants vectorize fully; tanh and
 // sigmoid keep their libm calls but lose the per-element dispatch).
-void Activation::apply_into(const Matrix& input, Matrix& out) const {
+void Activation::forward_inference_into(const Matrix& input,
+                                        Matrix& out) const {
   if (&out != &input) {
     out.resize(input.rows(), input.cols());
     std::copy(input.data(), input.data() + input.size(), out.data());
@@ -72,32 +73,9 @@ void Activation::apply_into(const Matrix& input, Matrix& out) const {
   }
 }
 
-Matrix Activation::forward(const Matrix& input) {
-  cached_input_ = input;
-  Matrix out;
-  apply_into(input, out);
-  return out;
-}
-
 void Activation::forward_into(const Matrix& input, Matrix& out) {
   cached_input_ = input;  // copy before apply so aliased in-place calls work
-  apply_into(input, out);
-}
-
-Matrix Activation::forward_inference(const Matrix& input) {
-  Matrix out;
-  apply_into(input, out);
-  return out;
-}
-
-void Activation::forward_inference_into(const Matrix& input, Matrix& out) {
-  apply_into(input, out);
-}
-
-Matrix Activation::backward(const Matrix& grad_output) {
-  Matrix dx;
-  backward_into(grad_output, dx);
-  return dx;
+  forward_inference_into(input, out);
 }
 
 void Activation::backward_into(const Matrix& grad_output, Matrix& grad_input) {

@@ -14,21 +14,16 @@ class Activation : public Module {
   explicit Activation(ActKind kind, float leak = 0.01f)
       : kind_(kind), leak_(leak) {}
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
-  Matrix forward_inference(const Matrix& input) override;
-  // Elementwise, so out may alias input (in-place activation); the _into
-  // forms are allocation-free once warm.
+  // Elementwise, so out may alias input (in-place activation); all three
+  // paths are allocation-free once warm.
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
-  void forward_inference_into(const Matrix& input, Matrix& out) override;
+  void forward_inference_into(const Matrix& input, Matrix& out) const override;
   std::vector<Param*> parameters() override { return {}; }
 
   ActKind kind() const { return kind_; }
 
  private:
-  void apply_into(const Matrix& input, Matrix& out) const;
-
   ActKind kind_;
   float leak_;
   Matrix cached_input_;

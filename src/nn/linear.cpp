@@ -36,36 +36,14 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     : weight_(name + ".weight", init_weight(in_features, out_features, rng, init)),
       bias_(name + ".bias", Matrix(1, out_features)) {}
 
-void Linear::apply_into(const Matrix& input, Matrix& out) const {
+void Linear::forward_inference_into(const Matrix& input, Matrix& out) const {
   matmul(input, weight_.value, out);
   add_row_vector(out, bias_.value);
 }
 
-Matrix Linear::forward(const Matrix& input) {
-  Matrix out;
-  forward_into(input, out);
-  return out;
-}
-
 void Linear::forward_into(const Matrix& input, Matrix& out) {
   cached_input_ = input;  // capacity-reusing copy once shapes are stable
-  apply_into(input, out);
-}
-
-Matrix Linear::forward_inference(const Matrix& input) {
-  Matrix out;
-  apply_into(input, out);
-  return out;
-}
-
-void Linear::forward_inference_into(const Matrix& input, Matrix& out) {
-  apply_into(input, out);
-}
-
-Matrix Linear::backward(const Matrix& grad_output) {
-  Matrix dx;
-  backward_into(grad_output, dx);
-  return dx;
+  forward_inference_into(input, out);
 }
 
 void Linear::backward_into(const Matrix& grad_output, Matrix& grad_input) {

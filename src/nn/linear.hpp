@@ -22,15 +22,10 @@ class Linear : public Module {
          util::Rng& rng, Init init = Init::kHe,
          const std::string& name = "linear");
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
-  Matrix forward_inference(const Matrix& input) override;
   // Allocation-free once warm; out must not alias input.
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
-  // Touches no member state, so concurrent calls on one layer are safe as
-  // long as each caller owns its `out`.
-  void forward_inference_into(const Matrix& input, Matrix& out) override;
+  void forward_inference_into(const Matrix& input, Matrix& out) const override;
   std::vector<Param*> parameters() override;
 
   std::size_t in_features() const { return weight_.value.rows(); }
@@ -40,8 +35,6 @@ class Linear : public Module {
   Param& bias() { return bias_; }
 
  private:
-  void apply_into(const Matrix& input, Matrix& out) const;
-
   Param weight_;  // (in x out)
   Param bias_;    // (1 x out)
   Matrix cached_input_;

@@ -28,12 +28,6 @@ Mlp::Mlp(std::size_t in_features, const std::vector<std::size_t>& hidden_sizes,
   }
 }
 
-Matrix Mlp::forward(const Matrix& input) {
-  Matrix out;
-  forward_into(input, out);
-  return out;
-}
-
 void Mlp::forward_into(const Matrix& input, Matrix& out) {
   const Matrix* cur = &input;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -45,16 +39,16 @@ void Mlp::forward_into(const Matrix& input, Matrix& out) {
   }
 }
 
-Matrix Mlp::forward_inference(const Matrix& input) {
-  Matrix h = input;
-  for (auto& layer : layers_) h = layer->forward_inference(h);
-  return h;
-}
-
-Matrix Mlp::backward(const Matrix& grad_output) {
-  Matrix g;
-  backward_into(grad_output, g);
-  return g;
+void Mlp::forward_inference_into(const Matrix& input, Matrix& out) const {
+  Matrix ping;
+  Matrix pong;
+  const Matrix* cur = &input;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Matrix& dst =
+        (i + 1 == layers_.size()) ? out : (cur == &ping ? pong : ping);
+    layers_[i]->forward_inference_into(*cur, dst);
+    cur = &dst;
+  }
 }
 
 void Mlp::backward_into(const Matrix& grad_output, Matrix& grad_input) {
@@ -89,12 +83,6 @@ ResNetST::ResNetST(std::size_t in_features, std::size_t hidden,
   }
 }
 
-ResNetST::Output ResNetST::forward(const Matrix& input) {
-  Output out;
-  forward_into(input, out.s_raw, out.t);
-  return out;
-}
-
 void ResNetST::forward_into(const Matrix& input, Matrix& s_raw, Matrix& t) {
   in_proj_.forward_into(input, trunk_ws_);
   in_act_.forward_into(trunk_ws_, trunk_ws_);
@@ -106,17 +94,18 @@ void ResNetST::forward_into(const Matrix& input, Matrix& s_raw, Matrix& t) {
   t_head_.forward_into(trunk_ws_, t);
 }
 
-ResNetST::Output ResNetST::forward_inference(const Matrix& input) {
-  Matrix h = in_proj_.forward_inference(input);
-  h = in_act_.forward_inference(h);
-  for (auto& block : blocks_) h = block->forward_inference(h);
-  return {s_head_.forward_inference(h), t_head_.forward_inference(h)};
-}
-
-Matrix ResNetST::backward(const Matrix& grad_s_raw, const Matrix& grad_t) {
-  Matrix grad_input;
-  backward_into(grad_s_raw, grad_t, grad_input);
-  return grad_input;
+void ResNetST::forward_inference_into(const Matrix& input, Matrix& s_raw,
+                                      Matrix& t) const {
+  Matrix h;
+  Matrix h2;
+  in_proj_.forward_inference_into(input, h);
+  in_act_.forward_inference_into(h, h);
+  for (const auto& block : blocks_) {
+    block->forward_inference_into(h, h2);
+    std::swap(h, h2);
+  }
+  s_head_.forward_inference_into(h, s_raw);
+  t_head_.forward_inference_into(h, t);
 }
 
 void ResNetST::backward_into(const Matrix& grad_s_raw, const Matrix& grad_t,

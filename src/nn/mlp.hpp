@@ -24,13 +24,12 @@ class Mlp : public Module {
       ActKind hidden_act = ActKind::kRelu, bool has_final_act = false,
       ActKind final_act = ActKind::kTanh, const std::string& name = "mlp");
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
-  Matrix forward_inference(const Matrix& input) override;
-  // Allocation-free training variants: activations ping-pong between two
-  // member buffers. out/grad_input must not alias the input.
+  // Activations ping-pong between two buffers: members on the training
+  // paths (allocation-free once warm), call-locals on the inference path.
+  // out/grad_input must not alias the input.
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+  void forward_inference_into(const Matrix& input, Matrix& out) const override;
   std::vector<Param*> parameters() override;
 
  private:
@@ -54,24 +53,17 @@ class ResNetST {
            std::size_t out_features, util::Rng& rng,
            const std::string& name = "st");
 
-  struct Output {
-    Matrix s_raw;  // pre-tanh scale logits
-    Matrix t;      // translation
-  };
-
-  Output forward(const Matrix& input);
-  // Training forward writing into caller buffers; allocation-free once warm
-  // (trunk activations live in member workspaces). Outputs must not alias
-  // the input or each other.
+  // The Module contract with two outputs: s_raw (pre-tanh scale logits)
+  // and t (translation), which must not alias the input or each other.
+  // Training forward; allocation-free once warm (trunk activations live in
+  // member workspaces).
   void forward_into(const Matrix& input, Matrix& s_raw, Matrix& t);
-  // Inference keeps per-call locals so concurrent calls on one net (via
-  // AffineCoupling's const inference paths) stay safe.
-  Output forward_inference(const Matrix& input);
-
-  // Backward for the two heads; returns dL/d(input).
-  Matrix backward(const Matrix& grad_s_raw, const Matrix& grad_t);
+  // Backward for the two heads; writes dL/d(input).
   void backward_into(const Matrix& grad_s_raw, const Matrix& grad_t,
                      Matrix& grad_input);
+  // Inference forward; const, with call-local trunk activations.
+  void forward_inference_into(const Matrix& input, Matrix& s_raw,
+                              Matrix& t) const;
 
   std::vector<Param*> parameters();
 

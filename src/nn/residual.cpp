@@ -14,12 +14,6 @@ ResidualBlock::ResidualBlock(std::size_t features, util::Rng& rng,
       act_(ActKind::kRelu),
       fc2_(features, features, rng, Init::kHe, name + ".fc2") {}
 
-Matrix ResidualBlock::forward(const Matrix& input) {
-  Matrix out;
-  forward_into(input, out);
-  return out;
-}
-
 void ResidualBlock::forward_into(const Matrix& input, Matrix& out) {
   fc1_.forward_into(input, hidden_ws_);
   act_.forward_into(hidden_ws_, hidden_ws_);  // elementwise: in-place is fine
@@ -27,17 +21,13 @@ void ResidualBlock::forward_into(const Matrix& input, Matrix& out) {
   add_inplace(out, input);  // skip connection
 }
 
-Matrix ResidualBlock::forward_inference(const Matrix& input) {
-  Matrix h = fc2_.forward_inference(
-      act_.forward_inference(fc1_.forward_inference(input)));
-  add_inplace(h, input);
-  return h;
-}
-
-Matrix ResidualBlock::backward(const Matrix& grad_output) {
-  Matrix dx;
-  backward_into(grad_output, dx);
-  return dx;
+void ResidualBlock::forward_inference_into(const Matrix& input,
+                                           Matrix& out) const {
+  Matrix hidden;
+  fc1_.forward_inference_into(input, hidden);
+  act_.forward_inference_into(hidden, hidden);
+  fc2_.forward_inference_into(hidden, out);
+  add_inplace(out, input);
 }
 
 void ResidualBlock::backward_into(const Matrix& grad_output,

@@ -18,14 +18,11 @@ class ResidualBlock : public Module {
   ResidualBlock(std::size_t features, util::Rng& rng,
                 const std::string& name = "resblock");
 
-  Matrix forward(const Matrix& input) override;
-  Matrix backward(const Matrix& grad_output) override;
-  Matrix forward_inference(const Matrix& input) override;
-  // Allocation-free training variants (member workspaces); out/grad_input
-  // must not alias the input. Inference stays workspace-free so concurrent
-  // forward_inference calls on one block remain safe.
+  // Allocation-free training paths (member workspaces); out/grad_input
+  // must not alias the input. Inference keeps its hidden activation local.
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+  void forward_inference_into(const Matrix& input, Matrix& out) const override;
   std::vector<Param*> parameters() override;
 
  private:

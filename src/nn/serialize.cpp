@@ -1,5 +1,7 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
@@ -65,7 +67,14 @@ void load_params(std::istream& in, const std::vector<Param*>& params) {
                              std::to_string(params.size()));
   }
   for (Param* p : params) {
+    // The expected name bounds the read, so a corrupt length field cannot
+    // size an allocation.
     const std::uint32_t name_len = read_u32(in);
+    if (name_len != p->name.size()) {
+      throw std::runtime_error("checkpoint param name length " +
+                               std::to_string(name_len) + " does not match '" +
+                               p->name + "'");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     if (!in || name != p->name) {
@@ -80,6 +89,12 @@ void load_params(std::istream& in, const std::vector<Param*>& params) {
     in.read(reinterpret_cast<char*>(p->value.data()),
             static_cast<std::streamsize>(p->value.size() * sizeof(float)));
     if (!in) throw std::runtime_error("checkpoint truncated in " + p->name);
+    const float* v = p->value.data();
+    if (!std::all_of(v, v + p->value.size(),
+                     [](float w) { return std::isfinite(w); })) {
+      throw std::runtime_error("checkpoint has non-finite weights in " +
+                               p->name);
+    }
   }
 }
 

@@ -2,8 +2,9 @@
 //
 // Layout: magic "PFCKPT1\n", u64 param count, then per param:
 // u32 name length, name bytes, u64 rows, u64 cols, rows*cols f32 (LE).
-// Loading validates names and shapes against the live model so that a
-// checkpoint trained with different hyper-parameters fails loudly.
+// Loading validates names (the length before the bytes) and shapes against
+// the live model so that a checkpoint trained with different
+// hyper-parameters fails loudly, and rejects non-finite weights.
 #pragma once
 
 #include <iosfwd>

@@ -102,7 +102,7 @@ TEST(FlowModel, LogProbIsChangeOfVariables) {
   const nn::Matrix x = random_matrix(5, 6, rng, 0.3);
   std::vector<double> log_det;
   const nn::Matrix z = model.forward_inference(x, &log_det);
-  const auto log_probs = model.log_prob(x);
+  const auto log_probs = model.log_prob_batch(x);
   for (std::size_t r = 0; r < 5; ++r) {
     const double expected =
         standard_normal_log_density(z.row(r), z.cols()) + log_det[r];

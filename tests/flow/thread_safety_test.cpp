@@ -1,9 +1,9 @@
 // Thread-safety regression tests for FlowModel's inference paths.
 //
-// forward_inference / inverse / log_prob are const and cache-free, so many
-// ThreadPool workers may share one model. These tests pin that contract:
+// forward_inference / inverse / log_prob_batch are const and cache-free, so
+// many ThreadPool workers may share one model. These tests pin that contract:
 // concurrent calls must produce exactly the results of serial calls, and
-// the pool-chunked overloads must be bitwise identical to the serial ones.
+// pool-chunked calls must be bitwise identical to serial ones.
 // They run under the `thread_safety` CTest label so a TSan configuration
 // can execute precisely this slice (`ctest -L thread_safety`).
 #include "flow/flow_model.hpp"

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "data/alphabet.hpp"
 #include "test_support.hpp"
 
@@ -44,8 +49,8 @@ TEST_F(TrainerTest, TrainedModelAssignsHigherDensityToTrainingData) {
   trainer.train(passflow::testing::toy_corpus(40), encoder_);
 
   // Training passwords should be more probable than random garbage strings.
-  const auto train_lp = model.log_prob(encoder_.encode_batch({"123456"}));
-  const auto junk_lp = model.log_prob(encoder_.encode_batch({"zqxjwv"}));
+  const auto train_lp = model.log_prob_batch(encoder_.encode_batch({"123456"}));
+  const auto junk_lp = model.log_prob_batch(encoder_.encode_batch({"zqxjwv"}));
   EXPECT_GT(train_lp[0], junk_lp[0]);
 }
 
@@ -83,6 +88,45 @@ TEST_F(TrainerTest, BestEpochIsTracked) {
     min_val = std::min(min_val, epoch.validation_nll);
   }
   EXPECT_DOUBLE_EQ(result.best_validation_nll, min_val);
+}
+
+TEST_F(TrainerTest, NonFiniteLossThrowsBeforeTheOptimizerStep) {
+  util::Rng rng(6);
+  FlowModel model(passflow::testing::tiny_flow_config(), rng);
+  // A NaN scale bound reaches every row's z and log-det (a NaN trunk
+  // weight would not: ReLU maps NaN to 0).
+  const auto params = model.parameters();
+  std::size_t poisoned = params.size();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (params[i]->name == "coupling0.s_scale") poisoned = i;
+  }
+  ASSERT_LT(poisoned, params.size());
+  params[poisoned]->value(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  std::vector<nn::Matrix> before;
+  for (const nn::Param* p : params) before.push_back(p->value);
+
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 64;
+  config.log_every = 0;
+  config.validation_fraction = 0.0;
+  Trainer trainer(model, config);
+  try {
+    trainer.train(passflow::testing::toy_corpus(10), encoder_);
+    FAIL() << "training on a NaN weight did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("epoch 0, batch 0"),
+              std::string::npos)
+        << e.what();
+  }
+  // The optimizer never stepped: every other weight is untouched.
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (i == poisoned) continue;
+    const nn::Matrix& value = params[i]->value;
+    for (std::size_t j = 0; j < value.size(); ++j) {
+      ASSERT_EQ(value.data()[j], before[i].data()[j]) << params[i]->name;
+    }
+  }
 }
 
 TEST_F(TrainerTest, ValidationHoldoutShrinksTrainSet) {

@@ -144,9 +144,9 @@ TEST_F(EndToEndTest, TrainedFlowStillInvertible) {
 
 TEST_F(EndToEndTest, TrainingPasswordsBeatRandomStringsInDensity) {
   const auto train_lp =
-      model_->log_prob(encoder_->encode_batch({"123456", "love123"}));
+      model_->log_prob_batch(encoder_->encode_batch({"123456", "love123"}));
   const auto junk_lp =
-      model_->log_prob(encoder_->encode_batch({"zqxwvjpk", "qwzxvkjm"}));
+      model_->log_prob_batch(encoder_->encode_batch({"zqxwvjpk", "qwzxvkjm"}));
   EXPECT_GT((train_lp[0] + train_lp[1]) / 2.0,
             (junk_lp[0] + junk_lp[1]) / 2.0);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activation.hpp"
 #include "nn/gradcheck.hpp"
@@ -27,13 +28,22 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, util::Rng& rng,
 
 double half_squared(const Matrix& m) { return 0.5 * squared_sum(m); }
 
+void expect_bitwise_equal(const Matrix& a, const Matrix& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
+}
+
 // Runs forward+backward once under L = 0.5*||f(x)||^2 and checks both
-// parameter and input gradients numerically.
+// parameter and input gradients numerically. Also pins the three-path
+// contract: the const inference forward equals the training forward
+// bitwise.
 void check_module_gradients(Module& module, Matrix input,
                             double tolerance = 2e-2) {
   module.zero_grad();
   const Matrix out = module.forward(input);
   const Matrix grad_in = module.backward(out);  // dL/d(out) = out
+  const Module& frozen = module;
+  expect_bitwise_equal(out, frozen.forward_inference(input));
 
   const auto loss = [&]() {
     return half_squared(module.forward_inference(input));
@@ -89,6 +99,7 @@ TEST_P(ActivationKindTest, GradientMatchesNumeric) {
   act.zero_grad();
   const Matrix out = act.forward(input);
   const Matrix grad_in = act.backward(out);
+  expect_bitwise_equal(out, act.forward_inference(input));
   const auto loss = [&]() { return half_squared(act.forward_inference(input)); };
   const auto result = check_input_gradients(loss, input, grad_in, 1e-4, 42);
   EXPECT_LT(result.max_rel_error, 2e-2);
@@ -165,9 +176,11 @@ TEST(ResNetST, ZeroInitHeadsStartAtZero) {
   util::Rng rng(11);
   ResNetST st(6, 16, 2, 6, rng);
   const Matrix input = random_matrix(4, 6, rng);
-  auto out = st.forward_inference(input);
-  EXPECT_DOUBLE_EQ(out.s_raw.frobenius_norm(), 0.0);
-  EXPECT_DOUBLE_EQ(out.t.frobenius_norm(), 0.0);
+  Matrix s_raw;
+  Matrix t;
+  st.forward_inference_into(input, s_raw, t);
+  EXPECT_DOUBLE_EQ(s_raw.frobenius_norm(), 0.0);
+  EXPECT_DOUBLE_EQ(t.frobenius_norm(), 0.0);
 }
 
 TEST(ResNetST, GradientsMatchNumericThroughBothHeads) {
@@ -184,13 +197,24 @@ TEST(ResNetST, GradientsMatchNumericThroughBothHeads) {
   Matrix input = random_matrix(4, 5, rng);
 
   for (Param* p : st.parameters()) p->grad.zero();
-  auto out = st.forward(input);
+  Matrix s_raw;
+  Matrix t;
+  st.forward_into(input, s_raw, t);
   // L = 0.5*(||s_raw||^2 + ||t||^2)
-  const Matrix grad_in = st.backward(out.s_raw, out.t);
+  Matrix grad_in;
+  st.backward_into(s_raw, t, grad_in);
+
+  Matrix inf_s_raw;
+  Matrix inf_t;
+  st.forward_inference_into(input, inf_s_raw, inf_t);
+  expect_bitwise_equal(s_raw, inf_s_raw);
+  expect_bitwise_equal(t, inf_t);
 
   const auto loss = [&]() {
-    auto o = st.forward_inference(input);
-    return half_squared(o.s_raw) + half_squared(o.t);
+    Matrix ls;
+    Matrix lt;
+    st.forward_inference_into(input, ls, lt);
+    return half_squared(ls) + half_squared(lt);
   };
   // float32 central differences carry ~1e-3 absolute noise; accept either a
   // tight relative or a tight absolute error.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "nn/linear.hpp"
 #include "util/rng.hpp"
@@ -73,6 +77,47 @@ TEST(Serialize, RejectsTruncatedStream) {
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_params(truncated, source.parameters()),
                std::runtime_error);
+}
+
+// A corrupt name length is rejected against the expected name before it
+// can size an allocation (0xFFFFFFF0 would ask for 4 GiB).
+TEST(Serialize, RejectsOversizedNameLengthBeforeAllocating) {
+  util::Rng rng(9);
+  Linear dest(2, 2, rng, Init::kXavier, "layer");
+  std::stringstream stream;
+  stream.write("PFCKPT1\n", 8);
+  const std::uint64_t count = dest.parameters().size();
+  const std::uint32_t name_len = 0xFFFFFFF0u;
+  stream.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  stream.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  ASSERT_EQ(stream.str().size(), 20u);
+  try {
+    load_params(stream, dest.parameters());
+    FAIL() << "oversized name length was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("name length 4294967280"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialize, RejectsNonFiniteWeightsNamingTheParameter) {
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    util::Rng rng(10);
+    Linear source(3, 2, rng, Init::kXavier, "layer");
+    Linear dest(3, 2, rng, Init::kXavier, "layer");
+    source.bias().value(0, 1) = bad;
+    std::stringstream stream;
+    save_params(stream, source.parameters());
+    try {
+      load_params(stream, dest.parameters());
+      FAIL() << "non-finite weight " << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("layer.bias"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -130,11 +130,11 @@ TEST(Serving, BatchedRepliesBitwiseEqualUnbatchedAndDirectModel) {
     EXPECT_EQ(s.representable, b.representable);
 
     // Ground truth: the matcher's own answer, and — for representable
-    // candidates — the model's direct serial log_prob, bitwise.
+    // candidates — the model's direct serial log_prob_batch, bitwise.
     EXPECT_EQ(fx.matcher->contains(candidates[i]), b.in_index);
     if (b.representable) {
-      const double direct =
-          fx.tf.model.log_prob(fx.tf.encoder.encode_batch({candidates[i]}))[0];
+      const double direct = fx.tf.model.log_prob_batch(
+          fx.tf.encoder.encode_batch({candidates[i]}))[0];
       EXPECT_EQ(bits(direct), bits(b.log_prob));
       EXPECT_GE(b.guess_number, 1.0);
       EXPECT_TRUE(std::isfinite(b.guess_number));
