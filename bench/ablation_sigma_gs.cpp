@@ -37,9 +37,11 @@ int main(int argc, char** argv) {
       config.seed = scale.seed + 90;
       config.smoothing.enabled = gs;
       pf::guessing::DynamicSampler sampler(*model, env.encoder, config);
-      pf::guessing::HarnessConfig harness;
-      harness.budget = budget;
-      const auto result = run_guessing(sampler, matcher, harness);
+      pf::guessing::SessionConfig session_config;
+      session_config.budget = budget;
+      pf::guessing::AttackSession session(sampler, matcher, session_config);
+      session.run();
+      const auto result = session.result();
       table.add_row(
           {pf::bench::format_percent(sigma), gs ? "on" : "off",
            pf::util::with_thousands(

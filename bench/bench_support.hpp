@@ -19,7 +19,7 @@
 #include "baselines/markov.hpp"
 #include "data/synthetic_rockyou.hpp"
 #include "flow/trainer.hpp"
-#include "guessing/harness.hpp"
+#include "guessing/session.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
@@ -206,15 +206,17 @@ inline std::unique_ptr<baselines::Gan> train_gan(
 inline guessing::RunResult run_schedule(guessing::GuessGenerator& generator,
                                         const guessing::Matcher& matcher,
                                         const BenchScale& scale) {
-  guessing::HarnessConfig config;
+  guessing::SessionConfig config;
   config.budget = scale.budgets.back();
   config.checkpoints = scale.budgets;
   // Parallel matching plus pipelined generation (a no-op for feedback
   // generators); metrics stay identical to a serial run.
   config.pool = &util::shared_pool();
-  config.overlap_generation = true;
+  config.pipeline_depth = 1;
   util::Timer timer;
-  auto result = run_guessing(generator, matcher, config);
+  guessing::AttackSession session(generator, matcher, config);
+  session.run();
+  auto result = session.result();
   PF_LOG_INFO << generator.name() << ": " << result.final().matched
               << " matched / " << result.final().unique << " unique in "
               << util::format_duration(timer.elapsed_seconds());

@@ -72,7 +72,7 @@ class DynamicSampler : public GuessGenerator {
   void generate(std::size_t n, std::vector<std::string>& out) override;
   void on_match(std::size_t index_in_batch,
                 const std::string& password) override;
-  // Algorithm 1 conditions the prior on matches, so the harness must not
+  // Algorithm 1 conditions the prior on matches, so the session must not
   // overlap generation with matching for this sampler.
   bool uses_match_feedback() const override { return true; }
   std::string name() const override;

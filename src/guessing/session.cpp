@@ -46,7 +46,11 @@ AttackSession::AttackSession(GuessGenerator& generator, MatcherRef matcher,
   tracker_ = make_unique_tracker(config_.unique_tracking,
                                  config_.unique_shards,
                                  config_.sketch_precision_bits);
-  tracker_stage_ = pipelined_ && config_.unique_tracking != UniqueTracking::kOff;
+  // The tracker stage is a serial drain task on the pool; without a pool
+  // the consumer folds each chunk inline instead.
+  tracker_stage_ = pipelined_ &&
+                   config_.unique_tracking != UniqueTracking::kOff &&
+                   config_.pool != nullptr;
   // name() is not covered by the uses_match_feedback() contract, so it is
   // captured before any background generate() could race with it.
   generator_name_ = config_.log_progress ? generator_->name() : "";
@@ -137,20 +141,22 @@ void AttackSession::serial_step() {
     // Serial mode has no stage threads, so the lock is uncontended; taken
     // so pending_ accesses stay inside the annotated protocol.
     MutexLock lock(mu_);
-    if (!pending_.empty()) {
-      chunk = std::move(pending_.front());
-      pending_.pop_front();
-    }
+    if (!pending_.empty()) chunk = pending_.front();
   }
   if (chunk != nullptr) {
     // Chunk thawed from a saved pipelined run: the generator's stream is
     // already past it, and feedback delivery was waived when it was
-    // produced.
+    // produced. It leaves pending_ only once matched and folded, so a
+    // throwing matcher or fold leaves it owed to the next step().
     if (!chunk->has_membership) {
       matcher_->contains_batch(chunk->batch, config_.pool,
                                chunk->membership);
     }
     tracker_->add_batch(chunk->batch, config_.pool);
+    {
+      MutexLock lock(mu_);
+      pending_.pop_front();
+    }
     consume_chunk(chunk->batch, chunk->membership,
                   /*deliver_feedback=*/false);
   } else {
@@ -185,20 +191,30 @@ void AttackSession::pipelined_step() {
   }
   cv_.notify_all();
 
-  if (!chunk->has_membership) {
-    // Thawed chunks are stored without membership; the matcher is
-    // identical, so recomputing preserves every metric.
-    matcher_->contains_batch(chunk->batch, config_.pool, chunk->membership);
-    chunk->has_membership = true;
+  // Until the chunk counts as consumed, a throw from its match or its
+  // inline fold puts it back at the head of the ready queue, still owed to
+  // the tracker and the bookkeeping: the next step() redoes both (folds
+  // are set unions, so a partial one is harmless) and consumes it.
+  try {
+    if (!chunk->has_membership) {
+      // Thawed chunks are stored without membership; the matcher is
+      // identical, so recomputing preserves every metric.
+      matcher_->contains_batch(chunk->batch, config_.pool,
+                               chunk->membership);
+      chunk->has_membership = true;
+    }
+    // Without a tracker stage (no pool) the consumer folds inline.
+    if (!tracker_stage_) tracker_->add_batch(chunk->batch, config_.pool);
+  } catch (...) {
+    MutexLock lock(mu_);
+    ready_.push_front(std::move(chunk));
+    --consumed_chunks_;
+    throw;
   }
   consume_chunk(chunk->batch, chunk->membership, /*deliver_feedback=*/false);
   ++next_chunk_;
 
-  if (tracker_stage_) {
-    schedule_tracker_chunk(std::move(chunk));
-  } else {
-    tracker_->add_batch(chunk->batch, config_.pool);
-  }
+  if (tracker_stage_) schedule_tracker_chunk(std::move(chunk));
   emit_due_checkpoints();
 }
 
@@ -207,7 +223,7 @@ void AttackSession::schedule_tracker_chunk(std::shared_ptr<Chunk> chunk) {
   {
     MutexLock lock(mu_);
     tracking_.push_back(std::move(chunk));
-    if (tracker_on_pool_ && !tracker_task_active_) {
+    if (!tracker_task_active_) {
       tracker_task_active_ = true;
       spawn_drain = true;
     }
@@ -320,22 +336,26 @@ void AttackSession::emit_due_checkpoints() {
   }
 }
 
-std::size_t AttackSession::synced_unique_count() {
-  if (pipeline_running_ && tracker_stage_) {
-    // Checkpoints report the unique count at an exact chunk boundary, so
-    // the consumer parks until the tracker stage has folded every chunk
-    // consumed so far (it can never be ahead — it is fed by the consumer).
-    ReleasableMutexLock lock(mu_);
-    while (!pipeline_error_ &&
-           !(tracking_.empty() && tracked_chunks_ == consumed_chunks_)) {
-      cv_.wait(lock);
-    }
-    if (pipeline_error_) {
-      lock.unlock();
-      pause_pipeline();
-      return 0;  // not reached
-    }
+void AttackSession::wait_tracker_synced() {
+  if (!pipeline_running_) return;
+  // The tracker stage is fed by the consumer, so it can never be ahead:
+  // park until it has folded every chunk consumed so far. (Inline folds
+  // are always synced.) A stored pipeline error surfaces here either way,
+  // so a session nobody steps any more still reports it.
+  ReleasableMutexLock lock(mu_);
+  while (tracker_stage_ && !pipeline_error_ &&
+         !(tracking_.empty() && tracked_chunks_ == consumed_chunks_)) {
+    cv_.wait(lock);
   }
+  if (pipeline_error_) {
+    lock.unlock();
+    pause_pipeline();  // joins the stages and rethrows the stored error
+  }
+}
+
+std::size_t AttackSession::synced_unique_count() {
+  // Checkpoints report the unique count at an exact chunk boundary.
+  wait_tracker_synced();
   last_synced_unique_ = tracker_->count();
   return last_synced_unique_;
 }
@@ -382,7 +402,6 @@ void AttackSession::start_pipeline() {
     // the spawned threads is the same one the protocol relies on.
     MutexLock lock(mu_);
     producer_stop_ = false;
-    tracker_stop_ = false;
     pipeline_error_ = nullptr;
     consumed_chunks_ = next_chunk_;
     // A pipeline torn down by an error (pause_pipeline after a throwing
@@ -399,18 +418,15 @@ void AttackSession::start_pipeline() {
     ready_ = std::move(pending_);
     pending_.clear();
     published_unique_ = last_synced_unique_;
-    tracker_on_pool_ = tracker_stage_ && config_.pool != nullptr;
     // Re-drain the error backlog now: if the run is already at its last
     // chunk, no schedule_tracker_chunk() will ever come along to spawn the
     // drain, and the sync barrier would wait on `tracking_` forever.
-    tracker_task_active_ = tracker_on_pool_ && !tracking_.empty();
+    tracker_task_active_ = tracker_stage_ && !tracking_.empty();
     spawn_drain = tracker_task_active_;
     pipeline_running_ = true;
   }
   producer_thread_ = std::thread(&AttackSession::producer_loop, this);
-  if (tracker_stage_ && !tracker_on_pool_) {
-    tracker_thread_ = std::thread(&AttackSession::tracker_loop, this);
-  } else if (spawn_drain) {
+  if (spawn_drain) {
     tracker_future_ = config_.pool->submit([this] { tracker_drain(); });
   }
 }
@@ -423,25 +439,14 @@ void AttackSession::pause_pipeline() {
   }
   cv_.notify_all();
   producer_thread_.join();
-  if (tracker_stage_) {
-    if (tracker_on_pool_) {
-      // The drain task exits only once `tracking_` is empty (or on error);
-      // its future is the completion barrier (ready strictly after the
-      // task function has returned, so the task can never touch session
-      // state after this wait — which is what makes destruction safe).
-      if (tracker_future_.valid()) tracker_future_.wait();
-    } else {
-      {
-        MutexLock lock(mu_);
-        tracker_stop_ = true;
-      }
-      cv_.notify_all();
-      tracker_thread_.join();  // drains its queue before exiting
-    }
-  }
-  // Every stage thread has now been joined (or its drain future waited
-  // out), so the lock below is uncontended — held so the drain stays
-  // inside the annotated protocol.
+  // The drain task exits only once `tracking_` is empty (or on error); its
+  // future is the completion barrier (ready strictly after the task
+  // function has returned, so the task can never touch session state
+  // after this wait — which is what makes destruction safe).
+  if (tracker_future_.valid()) tracker_future_.wait();
+  // The producer has been joined and the drain waited out, so the lock
+  // below is uncontended — held so the drain stays inside the annotated
+  // protocol.
   std::exception_ptr error;
   {
     MutexLock lock(mu_);
@@ -496,54 +501,11 @@ void AttackSession::producer_loop() {
   }
 }
 
-void AttackSession::tracker_loop() {
-  std::shared_ptr<Chunk> chunk;
-  try {
-    for (;;) {
-      {
-        ReleasableMutexLock lock(mu_);
-        while (!tracker_stop_ && tracking_.empty()) cv_.wait(lock);
-        if (tracking_.empty()) return;  // stop requested and fully drained
-        chunk = std::move(tracking_.front());
-        tracking_.pop_front();
-      }
-      tracker_->add_batch(chunk->batch, config_.pool);
-      chunk.reset();
-      {
-        MutexLock lock(mu_);
-        ++tracked_chunks_;
-        published_unique_ = tracker_->count();
-      }
-      cv_.notify_all();
-    }
-  } catch (...) {
-    MutexLock lock(mu_);
-    // Same requeue as the pool drain: the consumed chunk's guesses are
-    // still owed to the tracker; a restarted pipeline re-folds it.
-    if (chunk) tracking_.push_front(std::move(chunk));
-    pipeline_error_ = std::current_exception();
-    cv_.notify_all();
-  }
-}
-
 bool AttackSession::merge_unique_sketch(util::CardinalitySketch& out) {
   check_usable();
-  if (pipeline_running_ && tracker_stage_) {
-    // Same barrier as a checkpoint: the contribution must cover exactly
-    // the chunks consumed so far, so park until the tracker stage has
-    // folded all of them (it is fed by the consumer, so it can never be
-    // ahead).
-    ReleasableMutexLock lock(mu_);
-    while (!pipeline_error_ &&
-           !(tracking_.empty() && tracked_chunks_ == consumed_chunks_)) {
-      cv_.wait(lock);
-    }
-    if (pipeline_error_) {
-      lock.unlock();
-      pause_pipeline();  // joins the stages and rethrows the stored error
-      return false;      // not reached
-    }
-  }
+  // Same barrier as a checkpoint: the contribution must cover exactly the
+  // chunks consumed so far.
+  wait_tracker_synced();
   return tracker_->merge_into(out);
 }
 

@@ -1,5 +1,5 @@
-// Streaming attack engine: the session-based replacement for the one-shot
-// run_guessing() loop.
+// Streaming attack engine: the one entry point for running a guessing
+// attack (Algorithm 1's generate -> match -> feedback -> checkpoint loop).
 //
 // An AttackSession owns the bookkeeping of one guessing attack: it drives a
 // GuessGenerator against a Matcher in chunk-sized steps, tracks matches /
@@ -22,13 +22,14 @@
 // Pipelining: with pipeline_depth >= 1 and a generator that ignores match
 // feedback (uses_match_feedback() == false), a persistent producer thread
 // keeps up to `pipeline_depth` chunks in flight through a bounded queue —
-// generating each chunk and pre-matching it against the Matcher — while a
-// tracker stage (one ThreadPool::submit() task at a time when a pool is
-// configured, a dedicated thread otherwise) folds consumed chunks into the
-// UniqueTracker behind the consumer. Chunk sizes and generate() call order are exactly the serial
-// schedule, match/sample bookkeeping is applied in stream order on the
-// consuming thread, and set-union unique counting is order-independent, so
-// every reported metric is bitwise identical to a serial run at any depth.
+// generating each chunk and pre-matching it against the Matcher. With a
+// pool configured, a tracker stage (at most one ThreadPool::submit() drain
+// task at a time) folds consumed chunks into the UniqueTracker behind the
+// consumer; without one, the consumer folds each chunk inline. Chunk sizes
+// and generate() call order are exactly the serial schedule, match/sample
+// bookkeeping is applied in stream order on the consuming thread, and
+// set-union unique counting is order-independent, so every reported metric
+// is bitwise identical to a serial run at any depth.
 // Feedback-driven generators (Algorithm 1) must see each chunk's matches
 // before producing the next, so for them the session silently stays serial
 // and delivers on_match() exactly like the seed loop.
@@ -74,7 +75,8 @@ struct SessionConfig {
   // spikes). Only engages for generators that ignore match feedback.
   std::size_t pipeline_depth = 0;
 
-  // Non-owning worker pool for bulk matching and sharded tracker inserts.
+  // Non-owning worker pool for bulk matching, sharded tracker inserts and,
+  // when pipelined, the tracker stage's drain task.
   util::ThreadPool* pool = nullptr;
 
   bool log_progress = false;
@@ -186,6 +188,9 @@ class AttackSession {
                      const std::vector<char>& membership,
                      bool deliver_feedback);
   void emit_due_checkpoints();
+  // Parks until the tracker stage has folded every consumed chunk and
+  // rethrows a stored pipeline error (no-op while not pipelining).
+  void wait_tracker_synced();
   std::size_t synced_unique_count();
   void refresh_stats();
   Checkpoint make_checkpoint(std::size_t guesses, std::size_t unique) const;
@@ -193,7 +198,6 @@ class AttackSession {
   void start_pipeline();
   void pause_pipeline();
   void producer_loop();
-  void tracker_loop();
   void tracker_drain();
   void schedule_tracker_chunk(std::shared_ptr<Chunk> chunk);
 
@@ -201,7 +205,7 @@ class AttackSession {
   MatcherRef matcher_;
   SessionConfig config_;
   bool pipelined_ = false;      // config requests it and the generator allows it
-  bool tracker_stage_ = false;  // unique tracking runs on its own thread
+  bool tracker_stage_ = false;  // pipelined, tracking on, and a pool is set
 
   std::vector<std::size_t> schedule_;  // chunk sizes; fixed up front
   std::size_t next_chunk_ = 0;         // consumer cursor into schedule_
@@ -249,21 +253,16 @@ class AttackSession {
   std::size_t tracked_chunks_ PF_GUARDED_BY(mu_) = 0;
   std::size_t published_unique_ PF_GUARDED_BY(mu_) = 0;
   bool producer_stop_ PF_GUARDED_BY(mu_) = false;
-  bool tracker_stop_ PF_GUARDED_BY(mu_) = false;
   // Consumer-thread-only: flipped by start_pipeline/pause_pipeline, which
   // only run on the consuming thread while no stage thread exists — a
   // protocol mu_ cannot express, so it stays unannotated (see
   // annotated_sync.hpp usage rules).
   bool pipeline_running_ = false;
-  // With a pool configured the tracker stage runs as at most one in-flight
-  // submit() task draining `tracking_` FIFO (a serial executor on shared
-  // workers); without one it falls back to the dedicated tracker thread.
-  // Consumer-thread-only, set before any stage thread starts.
-  bool tracker_on_pool_ = false;
+  // The tracker stage runs as at most one in-flight submit() task draining
+  // `tracking_` FIFO (a serial executor on shared workers).
   bool tracker_task_active_ PF_GUARDED_BY(mu_) = false;
   std::exception_ptr pipeline_error_ PF_GUARDED_BY(mu_);
   std::thread producer_thread_;
-  std::thread tracker_thread_;
   // Latest pool drain task. Consumer-thread-only: written while
   // tracker_task_active_ hands off drain ownership (see
   // schedule_tracker_chunk), read only by pause_pipeline.

@@ -9,7 +9,9 @@ namespace passflow::nn {
 float activate(ActKind kind, float x, float leak) {
   switch (kind) {
     case ActKind::kRelu:
-      return x > 0.0f ? x : 0.0f;
+      // `x <= 0` rather than `x > 0`: NaN passes through (a diverged
+      // weight must reach the loss), and -0 still maps to +0.
+      return x <= 0.0f ? 0.0f : x;
     case ActKind::kLeakyRelu:
       return x > 0.0f ? x : leak * x;
     case ActKind::kTanh:
@@ -52,7 +54,7 @@ void Activation::forward_inference_into(const Matrix& input,
   switch (kind_) {
     case ActKind::kRelu:
 #pragma omp simd
-      for (std::size_t i = 0; i < size; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
+      for (std::size_t i = 0; i < size; ++i) d[i] = d[i] <= 0.0f ? 0.0f : d[i];
       break;
     case ActKind::kLeakyRelu: {
       const float leak = leak_;

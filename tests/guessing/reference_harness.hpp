@@ -1,7 +1,8 @@
-// Reference implementation of the seed's serial run_guessing loop, kept
-// verbatim as the gold standard the AttackSession equivalence suite (and
-// the guessing bench's baseline arm) compares against. Any divergence
-// between this loop and the session engine is a regression by definition.
+// Reference implementation of the seed's serial guessing loop (generate ->
+// match -> feedback -> checkpoint, one chunk at a time), kept verbatim as
+// the gold standard the AttackSession equivalence suite compares against.
+// Any divergence between this loop and the session engine is a regression
+// by definition.
 #pragma once
 
 #include <algorithm>
@@ -10,11 +11,13 @@
 #include <ostream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "guessing/generator.hpp"
 #include "guessing/matcher.hpp"
 #include "guessing/metrics.hpp"
+#include "guessing/session.hpp"
 #include "util/hash.hpp"
 
 namespace passflow::guessing::testing {
@@ -103,6 +106,14 @@ inline RunResult reference_run(GuessGenerator& generator,
     result.checkpoints.push_back(cp);
   }
   return result;
+}
+
+// Runs one AttackSession to completion and returns its metrics.
+inline RunResult run_session(GuessGenerator& generator, const Matcher& matcher,
+                             SessionConfig config) {
+  AttackSession session(generator, matcher, std::move(config));
+  session.run();
+  return session.result();
 }
 
 // Asserts every metric of two runs is identical (timing excluded).

@@ -7,7 +7,6 @@
 
 #include "data/alphabet.hpp"
 #include "guessing/dynamic_sampler.hpp"
-#include "guessing/harness.hpp"
 #include "guessing/pivot_sampler.hpp"
 #include "guessing/static_sampler.hpp"
 #include "test_support.hpp"

@@ -1,7 +1,9 @@
-// Determinism of the pipelined AttackSession: the persistent producer at
-// any depth, the tracker stage, sharded matching across the pool, and
-// mid-pipeline save/resume must all reproduce the serial run's metrics
-// exactly. Runs under the `thread_safety` CTest label (and its TSan job).
+// Determinism of the parallel guessing path: pooled samplers, the
+// pipelined AttackSession's persistent producer at any depth, its tracker
+// stage (a drain task on the pool) or inline fold (no pool), sharded
+// matching across the pool, and mid-pipeline save/resume must all
+// reproduce the serial run's metrics exactly. Runs under the
+// `thread_safety` CTest label (and its TSan job).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +12,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "guessing/dynamic_sampler.hpp"
 #include "guessing/session.hpp"
 #include "guessing/static_sampler.hpp"
 #include "reference_harness.hpp"
@@ -25,6 +29,7 @@ using passflow::testing::tiny_trained_flow;
 using testing::MixingGenerator;
 using testing::ReferenceConfig;
 using testing::reference_run;
+using testing::run_session;
 
 std::vector<std::string> mixing_targets(std::size_t period = 1 << 14) {
   std::vector<std::string> targets;
@@ -45,23 +50,39 @@ RunResult expected_mixing_run(const Matcher& matcher, std::size_t budget,
   return reference_run(generator, matcher, config);
 }
 
+// Both tracker protocols: with a pool the tracker stage is a drain task on
+// it; with pool = nullptr the consumer folds each chunk inline.
 TEST(SessionParallel, EveryPipelineDepthMatchesSerialBitwise) {
   HashSetMatcher matcher(mixing_targets());
   util::ThreadPool pool(4);
-  const RunResult expected = expected_mixing_run(matcher, 54321, 1000);
-  ASSERT_GT(expected.final().matched, 0u);
 
-  for (const std::size_t depth : {1u, 2u, 4u, 8u}) {
-    MixingGenerator generator;
+  for (const UniqueTracking tracking :
+       {UniqueTracking::kExact, UniqueTracking::kSketch}) {
     SessionConfig config;
     config.budget = 54321;
     config.chunk_size = 1000;
-    config.pipeline_depth = depth;
-    config.pool = &pool;
-    AttackSession session(generator, matcher, config);
-    session.run();
-    const RunResult actual = session.result();
-    PF_EXPECT_SAME_RUN(expected, actual);
+    config.unique_tracking = tracking;
+    MixingGenerator serial_generator;
+    const RunResult expected = run_session(serial_generator, matcher, config);
+    ASSERT_GT(expected.final().matched, 0u);
+    if (tracking == UniqueTracking::kExact) {
+      PF_EXPECT_SAME_RUN(expected_mixing_run(matcher, 54321, 1000), expected);
+    }
+
+    for (util::ThreadPool* session_pool :
+         {&pool, static_cast<util::ThreadPool*>(nullptr)}) {
+      for (const std::size_t depth : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "tracking=" << static_cast<int>(tracking)
+                     << " pool=" << (session_pool != nullptr)
+                     << " depth=" << depth);
+        MixingGenerator generator;
+        config.pipeline_depth = depth;
+        config.pool = session_pool;
+        const RunResult actual = run_session(generator, matcher, config);
+        PF_EXPECT_SAME_RUN(expected, actual);
+      }
+    }
   }
 }
 
@@ -174,24 +195,26 @@ TEST(SessionParallel, PipelinedSaveResumesIntoSerialSession) {
   PF_EXPECT_SAME_RUN(expected, second.result());
 }
 
+// A target set the samplers can actually hit: every 5th guess of a warmup
+// run over the same model.
+std::vector<std::string> reachable_targets() {
+  const auto& env = tiny_trained_flow();
+  StaticSamplerConfig config;
+  config.seed = 404;
+  StaticSampler sampler(env.model, env.encoder, config);
+  std::vector<std::string> warmup;
+  sampler.generate(5000, warmup);
+  std::vector<std::string> targets;
+  for (std::size_t i = 0; i < warmup.size(); i += 5) {
+    targets.push_back(warmup[i]);
+  }
+  return targets;
+}
+
 TEST(SessionParallel, StaticSamplerPipelinedMatchesSerial) {
   const auto& env = tiny_trained_flow();
   util::ThreadPool pool(4);
-
-  // A target set the sampler can actually hit: every 5th guess of a
-  // warmup run over the same model.
-  std::vector<std::string> targets;
-  {
-    StaticSamplerConfig warmup_config;
-    warmup_config.seed = 404;
-    StaticSampler warmup(env.model, env.encoder, warmup_config);
-    std::vector<std::string> guesses;
-    warmup.generate(5000, guesses);
-    for (std::size_t i = 0; i < guesses.size(); i += 5) {
-      targets.push_back(guesses[i]);
-    }
-  }
-  HashSetMatcher matcher(targets);
+  const HashSetMatcher matcher(reachable_targets());
 
   auto run = [&](std::size_t depth, util::ThreadPool* sampler_pool) {
     StaticSamplerConfig sampler_config;
@@ -437,6 +460,229 @@ TEST(SessionParallel, PipelineErrorFromMatcherKeepsAccountingConsistent) {
     EXPECT_LE(cp.unique, cp.guesses);
     EXPECT_GT(cp.unique, 0u);
   }
+}
+
+// A thawed chunk is matched on the consumer when a resumed session
+// reaches it. A matcher error there must leave the chunk queued, still
+// owed to the tracker and the bookkeeping, so the retried step consumes it
+// and the run still equals the serial one: pipelined with a pool (tracker
+// drain) and without one (inline fold), and serial.
+TEST(SessionParallel, ThawedChunkMatchErrorLeavesTheChunkQueued) {
+  // MixingGenerator that publishes how far its stream has run.
+  class CountedMixingGenerator : public MixingGenerator {
+   public:
+    void generate(std::size_t n, std::vector<std::string>& out) override {
+      MixingGenerator::generate(n, out);
+      generated += n;
+    }
+    std::atomic<std::size_t> generated{0};
+  };
+  // Throws once, on the first probe of one given batch.
+  class ThrowOnceMatcher : public Matcher {
+   public:
+    ThrowOnceMatcher(const std::vector<std::string>& targets,
+                     std::vector<std::string> poison)
+        : inner_(targets), poison_(std::move(poison)) {}
+    bool contains(const std::string& password) const override {
+      return inner_.contains(password);
+    }
+    std::size_t test_set_size() const override {
+      return inner_.test_set_size();
+    }
+    std::string name() const override { return "throw-once"; }
+    void contains_batch(const std::vector<std::string>& batch,
+                        util::ThreadPool* pool,
+                        std::vector<char>& out) const override {
+      if (batch == poison_ && !thrown_.exchange(true)) {
+        throw std::runtime_error("transient matcher failure");
+      }
+      inner_.contains_batch(batch, pool, out);
+    }
+
+   private:
+    HashSetMatcher inner_;
+    std::vector<std::string> poison_;
+    mutable std::atomic<bool> thrown_{false};
+  };
+
+  const HashSetMatcher matcher(mixing_targets());
+  const RunResult expected = expected_mixing_run(matcher, 30000, 1000);
+  util::ThreadPool pool(2);
+
+  SessionConfig config;
+  config.budget = 30000;
+  config.chunk_size = 1000;
+  config.pipeline_depth = 4;
+  config.pool = &pool;
+  CountedMixingGenerator first_gen;
+  AttackSession first(first_gen, matcher, config);
+  first.run_until(10000);
+  // Let the producer run ahead, so the state carries unmatched chunks.
+  while (first_gen.generated < 11000) std::this_thread::yield();
+  std::stringstream frozen;
+  first.save_state(frozen);
+  const std::string state = frozen.str();
+
+  // The first thawed chunk: guesses 10000..10999 of the stream.
+  MixingGenerator stream;
+  std::vector<std::string> poison;
+  stream.generate(10000, poison);
+  poison.clear();
+  stream.generate(1000, poison);
+
+  for (const auto& [depth, session_pool] :
+       {std::pair<std::size_t, util::ThreadPool*>{4, &pool},
+        {4, nullptr},
+        {0, nullptr}}) {
+    SCOPED_TRACE(::testing::Message() << "depth=" << depth
+                                      << " pool=" << (session_pool != nullptr));
+    const ThrowOnceMatcher throwing(mixing_targets(), poison);
+    SessionConfig resumed_config = config;
+    resumed_config.pipeline_depth = depth;
+    resumed_config.pool = session_pool;
+    MixingGenerator second_gen;
+    AttackSession second(second_gen, throwing, resumed_config);
+    std::stringstream thawed(state);
+    second.load_state(thawed);
+    EXPECT_THROW(second.step(), std::runtime_error);
+    second.run();
+    PF_EXPECT_SAME_RUN(expected, second.result());
+  }
+}
+
+// ---- pooled samplers ------------------------------------------------------
+
+TEST(PooledSampler, StaticOutputIsIdentical) {
+  const auto& env = tiny_trained_flow();
+  util::ThreadPool pool(4);
+
+  StaticSamplerConfig serial_config;
+  serial_config.seed = 21;
+  StaticSampler serial(env.model, env.encoder, serial_config);
+
+  StaticSamplerConfig pooled_config;
+  pooled_config.seed = 21;
+  pooled_config.pool = &pool;
+  StaticSampler pooled(env.model, env.encoder, pooled_config);
+
+  std::vector<std::string> serial_out;
+  std::vector<std::string> pooled_out;
+  serial.generate(4096, serial_out);
+  pooled.generate(4096, pooled_out);
+  EXPECT_EQ(serial_out, pooled_out);
+}
+
+TEST(PooledSampler, DynamicOutputIsIdentical) {
+  const auto& env = tiny_trained_flow();
+  util::ThreadPool pool(4);
+
+  auto make_run = [&](util::ThreadPool* sampler_pool) {
+    DynamicSamplerConfig config;
+    config.seed = 33;
+    config.alpha = 0;
+    config.batch_size = 512;
+    config.pool = sampler_pool;
+    DynamicSampler sampler(env.model, env.encoder, config);
+    std::vector<std::string> out;
+    sampler.generate(1024, out);
+    // Feed matches so the mixture path (Eq. 14) is exercised too.
+    sampler.on_match(3, out[3]);
+    sampler.on_match(700, out[700]);
+    sampler.generate(2048, out);
+    return out;
+  };
+
+  EXPECT_EQ(make_run(nullptr), make_run(&pool));
+}
+
+TEST(SessionParallel, PooledDynamicSamplerRunMatchesSerialBitwise) {
+  // DynamicSampler consumes match feedback, so the session must refuse to
+  // pipeline generation even when asked — and with the pool only speeding
+  // up inverse/decode/matching, the metrics must not change.
+  const auto& env = tiny_trained_flow();
+  const HashSetMatcher matcher(reachable_targets());
+  util::ThreadPool pool(4);
+
+  auto run = [&](bool parallel) {
+    DynamicSamplerConfig sampler_config = table1_parameters(20000);
+    sampler_config.seed = 66;
+    sampler_config.batch_size = 1024;
+    if (parallel) sampler_config.pool = &pool;
+    DynamicSampler sampler(env.model, env.encoder, sampler_config);
+    SessionConfig config;
+    config.budget = 20000;
+    config.chunk_size = 2048;
+    if (parallel) {
+      config.pool = &pool;
+      config.pipeline_depth = 1;  // ignored: feedback generator
+    }
+    return run_session(sampler, matcher, config);
+  };
+
+  const RunResult serial = run(false);
+  const RunResult parallel = run(true);
+  ASSERT_GT(serial.final().matched, 0u);
+  PF_EXPECT_SAME_RUN(serial, parallel);
+}
+
+// Stateless generator with a deterministic stream, used to pin the
+// pipelining machinery itself (chunk schedule, pipelined call order)
+// independently of the flow.
+class CountingGenerator : public GuessGenerator {
+ public:
+  void generate(std::size_t n, std::vector<std::string>& out) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back("g" + std::to_string(cursor_++));
+    }
+  }
+  std::string name() const override { return "counting"; }
+
+ private:
+  std::size_t cursor_ = 0;
+};
+
+TEST(SessionParallel, PipelinedScheduleCoversExactBudget) {
+  HashSetMatcher matcher({"g7", "g1000", "g54000", "nope"});
+  util::ThreadPool pool(2);
+
+  auto run = [&](bool pipelined) {
+    CountingGenerator generator;
+    SessionConfig config;
+    config.budget = 54321;
+    config.chunk_size = 1000;
+    config.pool = pipelined ? &pool : nullptr;
+    config.pipeline_depth = pipelined ? 1 : 0;
+    return run_session(generator, matcher, config);
+  };
+
+  const RunResult serial = run(false);
+  const RunResult parallel = run(true);
+  EXPECT_EQ(parallel.final().guesses, 54321u);
+  EXPECT_EQ(parallel.final().matched, 3u);
+  PF_EXPECT_SAME_RUN(serial, parallel);
+}
+
+TEST(SessionParallel, PipelinedCustomCheckpointsStayExact) {
+  HashSetMatcher matcher({"g5"});
+  util::ThreadPool pool(2);
+
+  auto run = [&](bool pipelined) {
+    CountingGenerator generator;
+    SessionConfig config;
+    config.budget = 5000;
+    config.chunk_size = 4096;  // larger than checkpoint spacing
+    config.checkpoints = {10, 100, 2500, 5000};
+    config.pool = pipelined ? &pool : nullptr;
+    config.pipeline_depth = pipelined ? 1 : 0;
+    return run_session(generator, matcher, config);
+  };
+
+  const RunResult serial = run(false);
+  const RunResult parallel = run(true);
+  ASSERT_EQ(parallel.checkpoints.size(), 4u);
+  EXPECT_EQ(parallel.checkpoints[0].guesses, 10u);
+  EXPECT_EQ(parallel.checkpoints[2].guesses, 2500u);
+  PF_EXPECT_SAME_RUN(serial, parallel);
 }
 
 }  // namespace

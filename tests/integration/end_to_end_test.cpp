@@ -14,7 +14,6 @@
 #include "data/synthetic_rockyou.hpp"
 #include "flow/trainer.hpp"
 #include "guessing/dynamic_sampler.hpp"
-#include "guessing/harness.hpp"
 #include "guessing/interpolation.hpp"
 #include "guessing/reference_harness.hpp"
 #include "guessing/scheduler.hpp"
@@ -24,6 +23,8 @@
 
 namespace passflow {
 namespace {
+
+using guessing::testing::run_session;
 
 // One trained model shared across all tests in this file. Training used to
 // dominate the whole suite's wall-clock (~11 s), so the trained parameters
@@ -171,9 +172,9 @@ TEST_F(EndToEndTest, StaticSamplerFindsMatches) {
   guessing::StaticSamplerConfig config;
   config.seed = 101;
   guessing::StaticSampler sampler(*model_, *encoder_, config);
-  guessing::HarnessConfig harness;
-  harness.budget = 60000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  guessing::SessionConfig session_config;
+  session_config.budget = 60000;
+  const auto result = run_session(sampler, matcher, session_config);
   EXPECT_GE(result.final().matched, 3u);
 }
 
@@ -184,15 +185,17 @@ TEST_F(EndToEndTest, DynamicBeatsStaticOnSameBudget) {
   guessing::StaticSamplerConfig s_config;
   s_config.seed = 7;
   guessing::StaticSampler static_sampler(*model_, *encoder_, s_config);
-  guessing::HarnessConfig harness;
-  harness.budget = budget;
-  const auto static_result = run_guessing(static_sampler, matcher, harness);
+  guessing::SessionConfig session_config;
+  session_config.budget = budget;
+  const auto static_result =
+      run_session(static_sampler, matcher, session_config);
 
   guessing::DynamicSamplerConfig d_config =
       guessing::table1_parameters(budget);
   d_config.seed = 7;
   guessing::DynamicSampler dynamic_sampler(*model_, *encoder_, d_config);
-  const auto dynamic_result = run_guessing(dynamic_sampler, matcher, harness);
+  const auto dynamic_result =
+      run_session(dynamic_sampler, matcher, session_config);
 
   // The paper's core claim at every budget (Table II): DS >= static.
   EXPECT_GE(dynamic_result.final().matched, static_result.final().matched);
@@ -218,10 +221,10 @@ TEST_F(EndToEndTest, GaussianSmoothingIncreasesUniqueGuesses) {
     std::vector<std::string> warmup;
     sampler.generate(1024, warmup);
     for (std::size_t i = 0; i < 4; ++i) sampler.on_match(i * 7, warmup[i * 7]);
-    guessing::HarnessConfig harness;
-    harness.budget = 20000;
-    harness.chunk_size = 1024;
-    return run_guessing(sampler, matcher, harness);
+    guessing::SessionConfig session_config;
+    session_config.budget = 20000;
+    session_config.chunk_size = 1024;
+    return run_session(sampler, matcher, session_config);
   };
   const auto without_gs = run_with(false);
   const auto with_gs = run_with(true);
@@ -234,9 +237,9 @@ TEST_F(EndToEndTest, MatchedPasswordsAreReallyInTargetSet) {
   guessing::StaticSamplerConfig config;
   config.seed = 13;
   guessing::StaticSampler sampler(*model_, *encoder_, config);
-  guessing::HarnessConfig harness;
-  harness.budget = 30000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  guessing::SessionConfig session_config;
+  session_config.budget = 30000;
+  const auto result = run_session(sampler, matcher, session_config);
   EXPECT_FALSE(result.matched_passwords.empty());
   const std::unordered_set<std::string> target_set(targets.begin(),
                                                    targets.end());
@@ -260,9 +263,9 @@ TEST_F(EndToEndTest, MarkovBaselineAlsoFindsMatches) {
   markov.train(split_->train);
   baselines::MarkovSampler sampler(markov);
   guessing::HashSetMatcher matcher(fresh_target_set());
-  guessing::HarnessConfig harness;
-  harness.budget = 20000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  guessing::SessionConfig session_config;
+  session_config.budget = 20000;
+  const auto result = run_session(sampler, matcher, session_config);
   EXPECT_GT(result.final().matched, 0u);
 }
 
@@ -354,9 +357,9 @@ TEST_F(EndToEndTest, CheckpointMetricsMonotoneInBudget) {
   guessing::StaticSamplerConfig config;
   config.seed = 17;
   guessing::StaticSampler sampler(*model_, *encoder_, config);
-  guessing::HarnessConfig harness;
-  harness.budget = 10000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  guessing::SessionConfig session_config;
+  session_config.budget = 10000;
+  const auto result = run_session(sampler, matcher, session_config);
   for (std::size_t i = 1; i < result.checkpoints.size(); ++i) {
     EXPECT_GE(result.checkpoints[i].matched,
               result.checkpoints[i - 1].matched);

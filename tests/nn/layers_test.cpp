@@ -117,6 +117,19 @@ TEST(Activation, ReluClampsNegatives) {
   EXPECT_FLOAT_EQ(out(0, 2), 2);
 }
 
+TEST(Activation, ReluPropagatesNanAndMapsNegativeZeroToPositiveZero) {
+  Activation relu(ActKind::kRelu);
+  const float nan = std::nanf("");
+  const Matrix out = relu.forward(Matrix::from_rows({{nan, -0.0f, -3, 5}}));
+  EXPECT_TRUE(std::isnan(out(0, 0)));
+  EXPECT_EQ(out(0, 1), 0.0f);
+  EXPECT_FALSE(std::signbit(out(0, 1)));
+  EXPECT_EQ(out(0, 2), 0.0f);
+  EXPECT_EQ(out(0, 3), 5.0f);
+  EXPECT_TRUE(std::isnan(activate(ActKind::kRelu, nan)));
+  EXPECT_FALSE(std::signbit(activate(ActKind::kRelu, -0.0f)));
+}
+
 TEST(Activation, TanhIsBounded) {
   Activation tanh_act(ActKind::kTanh);
   const Matrix out = tanh_act.forward(Matrix::from_rows({{-100, 100}}));
