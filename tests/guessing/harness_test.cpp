@@ -1,13 +1,24 @@
-#include "guessing/harness.hpp"
-
+// Serial bookkeeping of the attack loop on a scripted stream: AttackSession
+// generates exactly the budget, counts each matched password once, divides
+// by the test-set size, reports distinct guesses, hands on_match the index
+// into the last batch, samples distinct non-matches and lays checkpoints the
+// way the paper's tables read them. Bitwise equivalence with the seed loop
+// lives in session_test.cpp.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "guessing/session.hpp"
+#include "reference_harness.hpp"
 
 namespace passflow::guessing {
 namespace {
 
-// Scripted generator: replays a fixed sequence and records feedback.
+using testing::run_session;
+
+// Replays a fixed script cyclically and records feedback.
 class ScriptedGenerator : public GuessGenerator {
  public:
   explicit ScriptedGenerator(std::vector<std::string> script)
@@ -18,7 +29,6 @@ class ScriptedGenerator : public GuessGenerator {
       out.push_back(script_[cursor_ % script_.size()]);
       ++cursor_;
     }
-    ++generate_calls_;
   }
 
   void on_match(std::size_t index_in_batch,
@@ -30,7 +40,6 @@ class ScriptedGenerator : public GuessGenerator {
   std::string name() const override { return "scripted"; }
 
   std::size_t cursor_ = 0;
-  std::size_t generate_calls_ = 0;
   std::vector<std::size_t> match_indices_;
   std::vector<std::string> match_passwords_;
 
@@ -38,54 +47,54 @@ class ScriptedGenerator : public GuessGenerator {
   std::vector<std::string> script_;
 };
 
-TEST(Harness, GeneratesExactBudget) {
+TEST(AttackSession, GeneratesExactBudget) {
   ScriptedGenerator gen({"a", "b", "c"});
   HashSetMatcher matcher({"nothing"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 95;
   config.chunk_size = 10;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   EXPECT_EQ(gen.cursor_, 95u);
   EXPECT_EQ(result.final().guesses, 95u);
 }
 
-TEST(Harness, CountsEachMatchedPasswordOnce) {
+TEST(AttackSession, CountsEachMatchedPasswordOnce) {
   // "hit" appears many times in the stream but counts once.
   ScriptedGenerator gen({"hit", "miss", "hit", "miss2"});
   HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 100;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   EXPECT_EQ(result.final().matched, 1u);
-  EXPECT_EQ(gen.match_passwords_.size(), 1u);
+  ASSERT_EQ(gen.match_passwords_.size(), 1u);
   EXPECT_EQ(gen.match_passwords_[0], "hit");
 }
 
-TEST(Harness, MatchedPercentUsesTestSetSize) {
+TEST(AttackSession, MatchedPercentUsesTestSetSize) {
   ScriptedGenerator gen({"a", "b", "x", "y"});
   HashSetMatcher matcher({"a", "b", "c", "d"});  // 4 entries, 2 matched
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 40;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   EXPECT_EQ(result.final().matched, 2u);
   EXPECT_DOUBLE_EQ(result.final().matched_percent, 50.0);
 }
 
-TEST(Harness, UniqueCountsDistinctGuesses) {
+TEST(AttackSession, UniqueCountsDistinctGuesses) {
   ScriptedGenerator gen({"a", "b", "a", "a"});
   HashSetMatcher matcher({});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 100;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   EXPECT_EQ(result.final().unique, 2u);
 }
 
-TEST(Harness, CheckpointsAreMonotone) {
+TEST(AttackSession, CheckpointsAreMonotone) {
   ScriptedGenerator gen({"a", "b", "c", "d", "e", "hit"});
   HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 10000;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   ASSERT_GE(result.checkpoints.size(), 3u);
   for (std::size_t i = 1; i < result.checkpoints.size(); ++i) {
     EXPECT_GE(result.checkpoints[i].guesses,
@@ -97,75 +106,40 @@ TEST(Harness, CheckpointsAreMonotone) {
   }
 }
 
-TEST(Harness, DefaultCheckpointsArePowersOfTen) {
+TEST(AttackSession, DefaultCheckpointsArePowersOfTen) {
   ScriptedGenerator gen({"a"});
   HashSetMatcher matcher({});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 1000;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   std::vector<std::size_t> guesses;
   for (const auto& cp : result.checkpoints) guesses.push_back(cp.guesses);
   EXPECT_EQ(guesses, (std::vector<std::size_t>{10, 100, 1000}));
 }
 
-TEST(Harness, CustomCheckpointsRespected) {
-  ScriptedGenerator gen({"a"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 50;
-  config.checkpoints = {25, 50};
-  const auto result = run_guessing(gen, matcher, config);
-  ASSERT_EQ(result.checkpoints.size(), 2u);
-  EXPECT_EQ(result.checkpoints[0].guesses, 25u);
-  EXPECT_EQ(result.checkpoints[1].guesses, 50u);
-}
-
-TEST(Harness, OnMatchIndexPointsIntoLastBatch) {
-  // Script: chunk_size=4 so batch = {m0,m1,m2,hit}; index of "hit" is 3.
+TEST(AttackSession, OnMatchIndexPointsIntoLastBatch) {
+  // chunk_size=4 so the batch is {m0,m1,m2,hit}; the index of "hit" is 3.
   ScriptedGenerator gen({"m0", "m1", "m2", "hit"});
   HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 4;
   config.chunk_size = 4;
-  run_guessing(gen, matcher, config);
+  run_session(gen, matcher, config);
   ASSERT_EQ(gen.match_indices_.size(), 1u);
   EXPECT_EQ(gen.match_indices_[0], 3u);
 }
 
-TEST(Harness, NonMatchedSamplesAreDistinctNonMatches) {
+TEST(AttackSession, NonMatchedSamplesAreDistinctNonMatches) {
   ScriptedGenerator gen({"hit", "n1", "n2", "n1"});
   HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 100;
   config.non_matched_samples = 10;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_session(gen, matcher, config);
   EXPECT_EQ(result.sample_non_matched.size(), 2u);
   for (const auto& s : result.sample_non_matched) {
     EXPECT_FALSE(matcher.contains(s));
   }
-}
-
-TEST(Harness, TrackUniqueOffReportsZeroUnique) {
-  ScriptedGenerator gen({"a", "b"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 20;
-  config.track_unique = false;
-  const auto result = run_guessing(gen, matcher, config);
-  EXPECT_EQ(result.final().unique, 0u);
-}
-
-TEST(Harness, ChunksNeverCrossCheckpoints) {
-  // With chunk_size larger than the checkpoint spacing, the harness must
-  // shrink chunks so metrics at checkpoints are exact.
-  ScriptedGenerator gen({"a"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 100;
-  config.chunk_size = 64;
-  config.checkpoints = {10, 100};
-  const auto result = run_guessing(gen, matcher, config);
-  EXPECT_EQ(result.checkpoints[0].guesses, 10u);
 }
 
 }  // namespace

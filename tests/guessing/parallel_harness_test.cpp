@@ -1,16 +1,18 @@
-// Determinism of the parallel guessing path: pooled samplers, pooled
-// matching, and pipelined generation must reproduce the single-threaded
-// run's metrics exactly (same checkpoints, same matched passwords, in the
-// same order). Runs under the `thread_safety` CTest label.
-#include "guessing/harness.hpp"
-
+// Determinism of the pooled guessing path: pooled samplers must emit the
+// serial sampler's stream, a pooled DynamicSampler run must reproduce the
+// serial metrics, and the pipelined session must cover the exact budget and
+// custom checkpoints. Runs under the `thread_safety` CTest label (and its
+// TSan job); the pipeline's depth, tracker and resume cases live in
+// session_parallel_test.cpp.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "guessing/dynamic_sampler.hpp"
+#include "guessing/session.hpp"
 #include "guessing/static_sampler.hpp"
+#include "reference_harness.hpp"
 #include "test_support.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,9 +20,10 @@ namespace passflow::guessing {
 namespace {
 
 using passflow::testing::tiny_trained_flow;
+using testing::run_session;
 
 // A target set the samplers can actually hit: every 5th guess of a warmup
-// run over the same model, deduplicated by Matcher.
+// run over the same model.
 std::vector<std::string> reachable_targets() {
   const auto& env = tiny_trained_flow();
   StaticSamplerConfig config;
@@ -35,20 +38,7 @@ std::vector<std::string> reachable_targets() {
   return targets;
 }
 
-void expect_same_run(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size());
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    EXPECT_EQ(a.checkpoints[i].guesses, b.checkpoints[i].guesses);
-    EXPECT_EQ(a.checkpoints[i].unique, b.checkpoints[i].unique);
-    EXPECT_EQ(a.checkpoints[i].matched, b.checkpoints[i].matched);
-    EXPECT_DOUBLE_EQ(a.checkpoints[i].matched_percent,
-                     b.checkpoints[i].matched_percent);
-  }
-  EXPECT_EQ(a.matched_passwords, b.matched_passwords);
-  EXPECT_EQ(a.sample_non_matched, b.sample_non_matched);
-}
-
-TEST(ParallelHarness, PooledStaticSamplerOutputIsIdentical) {
+TEST(PooledSampler, StaticOutputIsIdentical) {
   const auto& env = tiny_trained_flow();
   util::ThreadPool pool(4);
 
@@ -68,7 +58,7 @@ TEST(ParallelHarness, PooledStaticSamplerOutputIsIdentical) {
   EXPECT_EQ(serial_out, pooled_out);
 }
 
-TEST(ParallelHarness, PooledDynamicSamplerOutputIsIdentical) {
+TEST(PooledSampler, DynamicOutputIsIdentical) {
   const auto& env = tiny_trained_flow();
   util::ThreadPool pool(4);
 
@@ -91,36 +81,8 @@ TEST(ParallelHarness, PooledDynamicSamplerOutputIsIdentical) {
   EXPECT_EQ(make_run(nullptr), make_run(&pool));
 }
 
-TEST(ParallelHarness, StaticRunMatchesSerialBitwise) {
-  const auto& env = tiny_trained_flow();
-  const HashSetMatcher matcher(reachable_targets());
-  util::ThreadPool pool(4);
-
-  auto run = [&](bool parallel) {
-    StaticSamplerConfig config;
-    config.seed = 55;
-    config.batch_size = 1024;
-    if (parallel) config.pool = &pool;
-    StaticSampler sampler(env.model, env.encoder, config);
-    HarnessConfig harness;
-    harness.budget = 20000;
-    harness.chunk_size = 2048;
-    if (parallel) {
-      harness.pool = &pool;
-      harness.overlap_generation = true;
-    }
-    return run_guessing(sampler, matcher, harness);
-  };
-
-  const RunResult serial = run(false);
-  const RunResult parallel = run(true);
-  // The run must actually find matches, or the comparison is vacuous.
-  ASSERT_GT(serial.final().matched, 0u);
-  expect_same_run(serial, parallel);
-}
-
-TEST(ParallelHarness, DynamicRunMatchesSerialBitwise) {
-  // DynamicSampler consumes match feedback, so the harness must refuse to
+TEST(SessionParallel, PooledDynamicSamplerRunMatchesSerialBitwise) {
+  // DynamicSampler consumes match feedback, so the session must refuse to
   // pipeline generation even when asked — and with the pool only speeding
   // up inverse/decode/matching, the metrics must not change.
   const auto& env = tiny_trained_flow();
@@ -128,30 +90,30 @@ TEST(ParallelHarness, DynamicRunMatchesSerialBitwise) {
   util::ThreadPool pool(4);
 
   auto run = [&](bool parallel) {
-    DynamicSamplerConfig config = table1_parameters(20000);
-    config.seed = 66;
-    config.batch_size = 1024;
-    if (parallel) config.pool = &pool;
-    DynamicSampler sampler(env.model, env.encoder, config);
-    HarnessConfig harness;
-    harness.budget = 20000;
-    harness.chunk_size = 2048;
+    DynamicSamplerConfig sampler_config = table1_parameters(20000);
+    sampler_config.seed = 66;
+    sampler_config.batch_size = 1024;
+    if (parallel) sampler_config.pool = &pool;
+    DynamicSampler sampler(env.model, env.encoder, sampler_config);
+    SessionConfig config;
+    config.budget = 20000;
+    config.chunk_size = 2048;
     if (parallel) {
-      harness.pool = &pool;
-      harness.overlap_generation = true;  // ignored: feedback generator
+      config.pool = &pool;
+      config.pipeline_depth = 1;  // ignored: feedback generator
     }
-    return run_guessing(sampler, matcher, harness);
+    return run_session(sampler, matcher, config);
   };
 
   const RunResult serial = run(false);
   const RunResult parallel = run(true);
   ASSERT_GT(serial.final().matched, 0u);
-  expect_same_run(serial, parallel);
+  PF_EXPECT_SAME_RUN(serial, parallel);
 }
 
-// Stateless generator with a deterministic stream, used to pin the overlap
-// machinery itself (chunk schedule, pipelined call order) independently of
-// the flow.
+// Stateless generator with a deterministic stream, used to pin the
+// pipelining machinery itself (chunk schedule, pipelined call order)
+// independently of the flow.
 class CountingGenerator : public GuessGenerator {
  public:
   void generate(std::size_t n, std::vector<std::string>& out) override {
@@ -165,40 +127,40 @@ class CountingGenerator : public GuessGenerator {
   std::size_t cursor_ = 0;
 };
 
-TEST(ParallelHarness, OverlappedScheduleCoversExactBudget) {
+TEST(SessionParallel, PipelinedScheduleCoversExactBudget) {
   HashSetMatcher matcher({"g7", "g1000", "g54000", "nope"});
   util::ThreadPool pool(2);
 
-  auto run = [&](bool overlap) {
+  auto run = [&](bool pipelined) {
     CountingGenerator generator;
-    HarnessConfig harness;
-    harness.budget = 54321;
-    harness.chunk_size = 1000;
-    harness.pool = overlap ? &pool : nullptr;
-    harness.overlap_generation = overlap;
-    return run_guessing(generator, matcher, harness);
+    SessionConfig config;
+    config.budget = 54321;
+    config.chunk_size = 1000;
+    config.pool = pipelined ? &pool : nullptr;
+    config.pipeline_depth = pipelined ? 1 : 0;
+    return run_session(generator, matcher, config);
   };
 
   const RunResult serial = run(false);
   const RunResult parallel = run(true);
   EXPECT_EQ(parallel.final().guesses, 54321u);
   EXPECT_EQ(parallel.final().matched, 3u);
-  expect_same_run(serial, parallel);
+  PF_EXPECT_SAME_RUN(serial, parallel);
 }
 
-TEST(ParallelHarness, OverlappedCustomCheckpointsStayExact) {
+TEST(SessionParallel, PipelinedCustomCheckpointsStayExact) {
   HashSetMatcher matcher({"g5"});
   util::ThreadPool pool(2);
 
-  auto run = [&](bool overlap) {
+  auto run = [&](bool pipelined) {
     CountingGenerator generator;
-    HarnessConfig harness;
-    harness.budget = 5000;
-    harness.chunk_size = 4096;  // larger than checkpoint spacing
-    harness.checkpoints = {10, 100, 2500, 5000};
-    harness.pool = overlap ? &pool : nullptr;
-    harness.overlap_generation = overlap;
-    return run_guessing(generator, matcher, harness);
+    SessionConfig config;
+    config.budget = 5000;
+    config.chunk_size = 4096;  // larger than checkpoint spacing
+    config.checkpoints = {10, 100, 2500, 5000};
+    config.pool = pipelined ? &pool : nullptr;
+    config.pipeline_depth = pipelined ? 1 : 0;
+    return run_session(generator, matcher, config);
   };
 
   const RunResult serial = run(false);
@@ -206,7 +168,7 @@ TEST(ParallelHarness, OverlappedCustomCheckpointsStayExact) {
   ASSERT_EQ(parallel.checkpoints.size(), 4u);
   EXPECT_EQ(parallel.checkpoints[0].guesses, 10u);
   EXPECT_EQ(parallel.checkpoints[2].guesses, 2500u);
-  expect_same_run(serial, parallel);
+  PF_EXPECT_SAME_RUN(serial, parallel);
 }
 
 }  // namespace
