@@ -1,13 +1,13 @@
 // Multi-scenario scheduler throughput bench: N attack scenarios over one
-// shared ShardedMatcher and one pool, run concurrently through
+// shared HashSetMatcher and one pool, run concurrently through
 // AttackScheduler vs the same N sessions run serially one after another,
 // plus a QoS arm (deadline-boosted scenario 0, rate-capped last scenario)
 // reporting deadline misses and achieved-vs-cap rates. Emits the JSON
 // recorded in BENCH_scheduler.json.
 //
 //   ./scheduler_bench [--scenarios 4] [--budget 1000000] [--chunk 8192]
-//                     [--work 24] [--testset 100000] [--shards 8]
-//                     [--threads 8] [--slice 4] [--pipeline 2]
+//                     [--work 24] [--testset 100000] [--threads 8]
+//                     [--slice 4] [--pipeline 2]
 //                     [--out BENCH_scheduler.json]
 //
 // --work sets the per-guess generation cost (mix64 iterations), standing
@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
   const auto work = static_cast<std::size_t>(flags.get_int("work", 24));
   const auto testset_size =
       static_cast<std::size_t>(flags.get_int("testset", 100000));
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 8));
   const auto threads = static_cast<std::size_t>(flags.get_int("threads", 8));
   const auto slice = static_cast<std::size_t>(flags.get_int("slice", 4));
   const auto pipeline =
@@ -107,14 +106,13 @@ int main(int argc, char** argv) {
        v += stride) {
     targets.push_back("g" + std::to_string(v));
   }
-  auto matcher =
-      std::make_shared<const pf::guessing::ShardedMatcher>(targets, shards);
+  auto matcher = std::make_shared<const pf::guessing::HashSetMatcher>(targets);
   pf::util::ThreadPool pool(threads);
 
   std::printf(
       "scheduler_bench: scenarios=%zu budget=%zu chunk=%zu work=%zu "
-      "testset=%zu shards=%zu pool=%zu hardware=%u\n",
-      scenarios, budget, chunk, work, targets.size(), shards, pool.size(),
+      "testset=%zu pool=%zu hardware=%u\n",
+      scenarios, budget, chunk, work, targets.size(), pool.size(),
       std::thread::hardware_concurrency());
 
   const auto make_session_config = [&] {
@@ -252,8 +250,8 @@ int main(int argc, char** argv) {
        << "  \"bench\": \"scheduler_bench\",\n"
        << "  \"config\": { \"scenarios\": " << scenarios << ", \"budget\": "
        << budget << ", \"chunk_size\": " << chunk << ", \"work\": " << work
-       << ", \"test_set_size\": " << targets.size() << ", \"shards\": "
-       << shards << ", \"pool_threads\": " << pool.size()
+       << ", \"test_set_size\": " << targets.size()
+       << ", \"pool_threads\": " << pool.size()
        << ", \"slice_chunks\": " << slice << ", \"pipeline_depth\": "
        << pipeline << ", \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << " },\n";

@@ -4,11 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "data/alphabet.hpp"
 #include "data/wordlists.hpp"
+#include "util/flat_string_set.hpp"
 
 namespace passflow::data {
 
@@ -230,19 +230,15 @@ DatasetSplit make_rockyou_style_split(const std::vector<std::string>& corpus,
     split.train.push_back(corpus[perm[i]]);
   }
 
-  std::unordered_set<std::string> train_set;
   // Exclude everything in the *80% partition*, not just the subsample: the
   // paper removes the train/test intersection computed on the full split.
-  for (std::size_t i = 0; i < train_end; ++i) {
-    train_set.insert(corpus[perm[i]]);
-  }
-
-  std::unordered_set<std::string> seen;
+  // A test row is kept when its insert is new, i.e. it is neither in the
+  // 80% partition nor an earlier test row.
+  util::FlatStringSet excluded;
+  for (std::size_t i = 0; i < train_end; ++i) excluded.insert(corpus[perm[i]]);
   for (std::size_t i = train_end; i < corpus.size(); ++i) {
     const std::string& password = corpus[perm[i]];
-    if (train_set.count(password) || seen.count(password)) continue;
-    seen.insert(password);
-    split.test_unique.push_back(password);
+    if (excluded.insert(password)) split.test_unique.push_back(password);
   }
   return split;
 }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "guessing/unique_tracker.hpp"
 #include "util/serial_io.hpp"
 
 namespace passflow::dist {
@@ -55,50 +54,6 @@ StrengthEstimate read_strength_estimate(std::istream& in) {
   e.in_index = (flags & kStrengthFlagInIndex) != 0;
   e.representable = (flags & kStrengthFlagRepresentable) != 0;
   return e;
-}
-
-void write_session_config(std::ostream& out,
-                          const guessing::SessionConfig& session) {
-  // The same field set AttackScheduler::save_state echoes: everything that
-  // shapes metrics. pool / pipeline_depth still travel so a worker can
-  // reproduce the exact requested execution shape — except pool, which is
-  // a process-local pointer and is bound worker-side.
-  io::write_u64(out, session.budget);
-  io::write_u64(out, session.chunk_size);
-  io::write_u64(out, session.non_matched_samples);
-  io::write_u64(out, static_cast<std::uint64_t>(session.unique_tracking));
-  io::write_u64(out, session.unique_shards);
-  io::write_u64(out, session.sketch_precision_bits);
-  io::write_u64(out, session.pipeline_depth);
-  io::write_u64(out, session.log_progress ? 1 : 0);
-  io::write_u64(out, session.checkpoints.size());
-  for (const std::size_t cp : session.checkpoints) io::write_u64(out, cp);
-}
-
-guessing::SessionConfig read_session_config(std::istream& in) {
-  guessing::SessionConfig session;
-  session.budget = io::read_u64(in);
-  session.chunk_size = io::read_u64(in);
-  session.non_matched_samples = io::read_u64(in);
-  const std::uint64_t tracking = io::read_u64(in);
-  if (tracking >
-      static_cast<std::uint64_t>(guessing::UniqueTracking::kSketch)) {
-    throw std::runtime_error("dist message: invalid unique tracking mode " +
-                             std::to_string(tracking));
-  }
-  session.unique_tracking = static_cast<guessing::UniqueTracking>(tracking);
-  session.unique_shards = io::read_u64(in);
-  session.sketch_precision_bits =
-      static_cast<unsigned>(io::read_u64(in));
-  session.pipeline_depth = io::read_u64(in);
-  session.log_progress = io::read_u64(in) != 0;
-  const std::uint64_t checkpoint_count =
-      io::read_length(in, "session checkpoint schedule");
-  session.checkpoints.reserve(checkpoint_count);
-  for (std::uint64_t i = 0; i < checkpoint_count; ++i) {
-    session.checkpoints.push_back(io::read_u64(in));
-  }
-  return session;
 }
 
 void write_run_result(std::ostream& out, const guessing::RunResult& result) {
@@ -153,7 +108,7 @@ struct Encoder {
     io::write_string(out, m.name);
     io::write_string(out, m.generator_spec);
     io::write_string(out, m.matcher_spec);
-    write_session_config(out, m.session);
+    guessing::write_session_config(out, m.session);
     io::write_u64(out, m.shard_begin);
     io::write_u64(out, m.shard_end);
     io::write_u64(out, m.checkpoint_chunks);
@@ -248,7 +203,7 @@ Message decode(const std::string& payload) {
       m.name = io::read_string(in);
       m.generator_spec = io::read_string(in);
       m.matcher_spec = io::read_string(in);
-      m.session = read_session_config(in);
+      m.session = guessing::read_session_config(in);
       m.shard_begin = io::read_u64(in);
       m.shard_end = io::read_u64(in);
       m.checkpoint_chunks = io::read_u64(in);

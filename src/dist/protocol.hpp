@@ -43,7 +43,7 @@ namespace passflow::dist {
 
 // Bumped on any incompatible message-layout change; Hello carries it and
 // the coordinator refuses mismatched workers at registration.
-inline constexpr std::uint64_t kProtocolVersion = 1;
+inline constexpr std::uint64_t kProtocolVersion = 2;
 
 struct HelloMsg {
   std::uint64_t protocol_version = kProtocolVersion;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <istream>
 #include <stdexcept>
 #include <string>
@@ -467,18 +468,30 @@ void MappedMatcher::contains_batch(const std::vector<std::string>& batch,
                         shards_.size() > 1 &&
                         batch.size() >= kParallelBatchThreshold;
   if (parallel) {
-    // The shared shard-parallel plan also keeps each task's page faults
-    // within one shard's slice of the file.
-    detail::shard_parallel_contains_batch(
-        shards_.size(), batch, *pool,
-        [](const std::string& key) {
-          return util::hash64(key, kIndexHashSeed);
-        },
-        [this](std::size_t s, std::uint64_t hash, const std::string& key) {
-          if (s < shard_begin_ || s >= shard_end_) return false;
-          return probe_shard(shards_[s], hash, key);
-        },
-        out);
+    // Hash each key once, then submit one task per shard; a task writes
+    // only the batch indices its shard owns, so writes never collide and
+    // each task's page faults stay within one shard's slice of the file.
+    // submit() + wait_all rather than a second parallel_for so shard scans
+    // interleave with whatever else is on the pool (other sessions'
+    // matching, tracker folds) at task granularity, and the wait lends the
+    // calling thread back to the pool.
+    std::vector<std::uint64_t> hashes(batch.size());
+    pool->parallel_for(batch.size(), [&](std::size_t i) {
+      hashes[i] = util::hash64(batch[i], kIndexHashSeed);
+    });
+    std::vector<std::future<void>> scans;
+    scans.reserve(shard_end_ - shard_begin_);
+    for (std::size_t s = shard_begin_; s < shard_end_; ++s) {
+      scans.push_back(pool->submit([&, s] {
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (hashes[i] % shards_.size() == s &&
+              probe_shard(shards_[s], hashes[i], batch[i])) {
+            out[i] = 1;
+          }
+        }
+      }));
+    }
+    pool->wait_all(scans);
   } else {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       out[i] = contains(batch[i]) ? 1 : 0;

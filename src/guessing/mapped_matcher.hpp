@@ -1,12 +1,12 @@
 // Disk-backed membership oracle: an on-disk shard index probed through
 // mmap, for test sets that outgrow RAM.
 //
-// HashSetMatcher and ShardedMatcher hold every test-set password on the
-// heap, which caps an attack at what fits in memory on one node; real
-// leaked-credential corpora run to tens of GB. MappedMatcher moves the
-// whole structure into one index file that the kernel pages on demand:
-// probes touch only the slots and key bytes they actually read, so peak
-// RSS stays bounded by the working set, not the corpus.
+// HashSetMatcher holds every test-set password on the heap, which caps an
+// attack at what fits in memory on one node; real leaked-credential
+// corpora run to tens of GB. MappedMatcher moves the whole structure into
+// one index file that the kernel pages on demand: probes touch only the
+// slots and key bytes they actually read, so peak RSS stays bounded by the
+// working set, not the corpus.
 //
 // Index file layout (all integers little-endian, offsets absolute):
 //
@@ -18,13 +18,14 @@
 //                     u64 | key offset+1 u64 | key length u32 | pad u32),
 //                     then the arena of raw key bytes, both 8-byte aligned
 //
-// A key lives in shard hash64(key) % shard_count (the same stable hash and
-// placement rule as ShardedMatcher) and probes linearly from
-// mix64(hash) & (slot_count - 1); slots store the full 64-bit hash so a
-// probe compares key bytes at most once per true candidate. The loader
-// validates magic, version, hash seed and every declared extent against
-// the real file size, so corrupt or foreign files fail loudly instead of
-// faulting mid-attack.
+// A key lives in shard hash64(key) % shard_count (the stable util::hash64,
+// so placement does not depend on the standard library) and probes
+// linearly from mix64(hash) & (slot_count - 1); slots store the full
+// 64-bit hash so a probe compares key bytes at most once per true
+// candidate. The loader validates magic, version, hash seed and every
+// declared extent against the real file size, so corrupt or foreign files
+// fail loudly instead of faulting mid-attack. contains_batch matches the
+// shards in parallel across the pool, one task per shard.
 //
 // IndexBuilder writes the file from a streamed wordlist in bounded memory:
 // pass 1 spills (hash, key) records to one temp file per shard, pass 2

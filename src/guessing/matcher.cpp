@@ -1,12 +1,8 @@
 #include "guessing/matcher.hpp"
 
 #include <cstddef>
-#include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "util/hash.hpp"
 
 namespace passflow::guessing {
 
@@ -30,54 +26,8 @@ void Matcher::contains_batch(const std::vector<std::string>& batch,
 }
 
 HashSetMatcher::HashSetMatcher(const std::vector<std::string>& test_set)
-    : test_set_(test_set.begin(), test_set.end()) {}
-
-ShardedMatcher::ShardedMatcher(const std::vector<std::string>& test_set,
-                               std::size_t num_shards) {
-  if (num_shards == 0) {
-    throw std::invalid_argument("ShardedMatcher needs at least one shard");
-  }
-  shards_.resize(num_shards);
-  for (const std::string& password : test_set) {
-    if (shards_[shard_of(password)].insert(password).second) ++size_;
-  }
-}
-
-std::size_t ShardedMatcher::shard_of(const std::string& password) const {
-  // util::hash64, not std::hash: the shard assignment must be stable
-  // across standard libraries (and decorrelated from the shard sets' own
-  // internal hashing).
-  return static_cast<std::size_t>(util::hash64(password) % shards_.size());
-}
-
-bool ShardedMatcher::contains(const std::string& password) const {
-  return shards_[shard_of(password)].count(password) > 0;
-}
-
-std::string ShardedMatcher::name() const {
-  return "sharded(" + std::to_string(shards_.size()) + ")";
-}
-
-void ShardedMatcher::contains_batch(const std::vector<std::string>& batch,
-                                    util::ThreadPool* pool,
-                                    std::vector<char>& out) const {
-  out.assign(batch.size(), 0);
-  const bool parallel = pool != nullptr && pool->size() > 1 &&
-                        shards_.size() > 1 &&
-                        batch.size() >= kParallelBatchThreshold;
-  if (parallel) {
-    detail::shard_parallel_contains_batch(
-        shards_.size(), batch, *pool,
-        [](const std::string& key) { return util::hash64(key); },
-        [this](std::size_t s, std::uint64_t, const std::string& key) {
-          return shards_[s].count(key) > 0;
-        },
-        out);
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      out[i] = contains(batch[i]) ? 1 : 0;
-    }
-  }
+    : test_set_(test_set.size()) {
+  for (const std::string& password : test_set) test_set_.insert(password);
 }
 
 }  // namespace passflow::guessing

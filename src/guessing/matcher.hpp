@@ -2,67 +2,28 @@
 //
 // Mirrors the paper's evaluation: a guess "matches" iff it equals a password
 // in the cleaned RockYou test partition (§IV-D, §V-A). `Matcher` is the
-// abstract interface the attack engine probes; implementations trade memory
-// layout for scale:
+// abstract interface the attack engine probes; there are two
+// implementations:
 //
-//   - HashSetMatcher: the classic single in-memory hash set (seed behavior).
-//   - ShardedMatcher: K independent hash-set shards keyed by a stable hash
-//     of the password, so one huge test set can be matched shard-parallel
-//     across the worker pool (and, in a distributed deployment, the shards
-//     can live on different machines). Answers are identical to the
-//     unsharded matcher for every input.
+//   - HashSetMatcher: the whole test set in one in-memory
+//     util::FlatStringSet.
+//   - MappedMatcher (mapped_matcher.hpp): an mmap-paged on-disk shard
+//     index for test sets that outgrow RAM.
 //
-// All implementations must be safe for concurrent read-only use: the
-// pipelined AttackSession probes the matcher from its producer thread while
-// other sessions may share the same instance.
+// Both answer identically for every input. All implementations must be
+// safe for concurrent read-only use: the pipelined AttackSession probes the
+// matcher from its producer thread while other sessions may share the same
+// instance.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <future>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "util/flat_string_set.hpp"
 #include "util/thread_pool.hpp"
 
 namespace passflow::guessing {
-
-namespace detail {
-
-// The shard-parallel bulk-membership plan shared by every sharded matcher
-// (in-memory and disk-backed): hash each key once, then submit one task
-// per shard; a task writes only the batch indices its shard owns, so
-// writes never collide and no item is hashed K times. submit() + wait_all
-// rather than a second parallel_for so shard scans interleave with
-// whatever else is on the pool (other sessions' matching, tracker folds)
-// at task granularity, and the wait lends the calling thread back to the
-// pool. probe_fn(shard, hash, key) answers membership within one shard.
-template <typename HashFn, typename ProbeFn>
-void shard_parallel_contains_batch(std::size_t shard_count,
-                                   const std::vector<std::string>& batch,
-                                   util::ThreadPool& pool, HashFn&& hash_fn,
-                                   ProbeFn&& probe_fn,
-                                   std::vector<char>& out) {
-  std::vector<std::uint64_t> hashes(batch.size());
-  pool.parallel_for(batch.size(),
-                    [&](std::size_t i) { hashes[i] = hash_fn(batch[i]); });
-  std::vector<std::future<void>> scans;
-  scans.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    scans.push_back(pool.submit([&, s] {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (hashes[i] % shard_count == s &&
-            probe_fn(s, hashes[i], batch[i])) {
-          out[i] = 1;
-        }
-      }
-    }));
-  }
-  pool.wait_all(scans);
-}
-
-}  // namespace detail
 
 class Matcher {
  public:
@@ -79,7 +40,7 @@ class Matcher {
   // Bulk membership: fills out[i] = contains(batch[i]) for the whole
   // batch. `out` is assigned/overwritten. The base implementation probes
   // serially or splits the batch across `pool` when the batch is large
-  // enough to be worth it; ShardedMatcher overrides with a shard-parallel
+  // enough to be worth it; MappedMatcher overrides with a shard-parallel
   // plan. Must be callable concurrently from multiple threads.
   virtual void contains_batch(const std::vector<std::string>& batch,
                               util::ThreadPool* pool,
@@ -90,48 +51,20 @@ class Matcher {
   static constexpr std::size_t kParallelBatchThreshold = 1024;
 };
 
-// Single hash set over the whole test set — today's default, fastest while
-// the test set fits comfortably in memory on one node.
+// The whole test set in one flat hash set: the matcher for every test set
+// that fits in memory on one node.
 class HashSetMatcher : public Matcher {
  public:
   explicit HashSetMatcher(const std::vector<std::string>& test_set);
 
   bool contains(const std::string& password) const override {
-    return test_set_.count(password) > 0;
+    return test_set_.contains(password);
   }
   std::size_t test_set_size() const override { return test_set_.size(); }
   std::string name() const override { return "hashset"; }
 
  private:
-  std::unordered_set<std::string> test_set_;
-};
-
-// K hash-set shards; a password lives in shard util::hash64(p) % K. Probe
-// answers are identical to HashSetMatcher; contains_batch matches the
-// shards in parallel across the pool (each worker scans the batch for the
-// passwords its shard owns).
-class ShardedMatcher : public Matcher {
- public:
-  ShardedMatcher(const std::vector<std::string>& test_set,
-                 std::size_t num_shards);
-
-  bool contains(const std::string& password) const override;
-  std::size_t test_set_size() const override { return size_; }
-  std::string name() const override;
-  void contains_batch(const std::vector<std::string>& batch,
-                      util::ThreadPool* pool,
-                      std::vector<char>& out) const override;
-
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_size(std::size_t shard) const {
-    return shards_[shard].size();
-  }
-
- private:
-  std::size_t shard_of(const std::string& password) const;
-
-  std::vector<std::unordered_set<std::string>> shards_;
-  std::size_t size_ = 0;
+  util::FlatStringSet test_set_;
 };
 
 }  // namespace passflow::guessing

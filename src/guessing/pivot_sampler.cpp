@@ -2,11 +2,11 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "guessing/interpolation.hpp"
+#include "util/flat_string_set.hpp"
 
 namespace passflow::guessing {
 
@@ -21,7 +21,7 @@ std::vector<std::string> PivotSampler::sample_unique(
     std::size_t count, double sigma, util::Rng& rng,
     std::size_t max_attempts) const {
   std::vector<std::string> unique;
-  std::unordered_set<std::string> seen;
+  util::FlatStringSet seen;
   const std::size_t batch = 256;
   std::size_t attempts = 0;
   while (unique.size() < count && attempts < max_attempts) {
@@ -35,8 +35,7 @@ std::vector<std::string> PivotSampler::sample_unique(
     const nn::Matrix x = model_->inverse(z);
     for (std::size_t r = 0; r < x.rows() && unique.size() < count; ++r) {
       std::string password = encoder_->decode(x.row(r), x.cols());
-      if (password.empty() || seen.count(password)) continue;
-      seen.insert(password);
+      if (password.empty() || !seen.insert(password)) continue;
       unique.push_back(std::move(password));
     }
     attempts += batch;

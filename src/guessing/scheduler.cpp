@@ -42,7 +42,7 @@ std::vector<ShardRange> split_shard_ranges(std::size_t shard_count,
 
 namespace {
 
-constexpr char kStateMagic[] = "PFSCHD1\n";
+constexpr char kStateMagic[] = "PFSCHD2\n";
 constexpr char kStateEndMagic[] = "PFSCHDE\n";
 
 namespace io = util::io;
@@ -677,17 +677,7 @@ void AttackScheduler::save_state(std::ostream& out) {
       // Per-scenario engine config, so load_state can reconstruct the
       // session before thawing its stream (which re-validates the
       // metric-relevant fields against this echo).
-      const SessionConfig& session = scenario.session->config();
-      io::write_u64(out, session.budget);
-      io::write_u64(out, session.chunk_size);
-      io::write_u64(out, session.non_matched_samples);
-      io::write_u64(out, static_cast<std::uint64_t>(session.unique_tracking));
-      io::write_u64(out, session.unique_shards);
-      io::write_u64(out, session.sketch_precision_bits);
-      io::write_u64(out, session.pipeline_depth);
-      io::write_u64(out, session.log_progress ? 1 : 0);
-      io::write_u64(out, session.checkpoints.size());
-      for (const std::size_t cp : session.checkpoints) io::write_u64(out, cp);
+      write_session_config(out, scenario.session->config());
 
       entry->session->save_state(out);
     }
@@ -781,27 +771,7 @@ void AttackScheduler::load_state(std::istream& in,
     ScenarioThawInfo info;
     info.index = static_cast<std::size_t>(i);
     info.id = scenario->id;
-    info.session.budget = io::read_u64(in);
-    info.session.chunk_size = io::read_u64(in);
-    info.session.non_matched_samples = io::read_u64(in);
-    const std::uint64_t tracking = io::read_u64(in);
-    if (tracking > static_cast<std::uint64_t>(UniqueTracking::kSketch)) {
-      throw std::runtime_error(
-          "AttackScheduler state is corrupt: unique-tracking mode " +
-          std::to_string(tracking));
-    }
-    info.session.unique_tracking = static_cast<UniqueTracking>(tracking);
-    info.session.unique_shards = io::read_u64(in);
-    info.session.sketch_precision_bits =
-        static_cast<unsigned>(io::read_u64(in));
-    info.session.pipeline_depth = io::read_u64(in);
-    info.session.log_progress = io::read_u64(in) != 0;
-    const std::uint64_t checkpoint_count =
-        io::read_length(in, "checkpoint count");
-    info.session.checkpoints.reserve(checkpoint_count);
-    for (std::uint64_t c = 0; c < checkpoint_count; ++c) {
-      info.session.checkpoints.push_back(io::read_u64(in));
-    }
+    info.session = read_session_config(in);
     info.session.pool = config_.pool;  // the fleet budget, as add_scenario
     info.name = scenario->name;
 

@@ -8,7 +8,7 @@
 // borrowing one MatcherRef and one ThreadPool), and the scheduler drives
 // them in chunk-granularity slices under a weighted-fair policy.
 //
-//   auto matcher = std::make_shared<const ShardedMatcher>(test_set, 8);
+//   auto matcher = std::make_shared<const HashSetMatcher>(test_set);
 //   SchedulerConfig fleet;
 //   fleet.pool = &pool;                       // the global worker budget
 //   AttackScheduler scheduler(fleet);
@@ -31,7 +31,7 @@
 // Concurrency: step() drives one slice on the calling thread (fully
 // deterministic, zero extra threads). run() spawns up to max_concurrent
 // driver threads that pull slices under the same fair policy; sessions
-// never run two slices concurrently, and all inner parallelism (sharded
+// never run two slices concurrently, and all inner parallelism (bulk
 // matching, tracker folds, pipelined producers) lands on the one shared
 // pool, whose helping waits keep nested use deadlock-free. Scenarios can
 // be added, paused, resumed and removed mid-run from any thread.
@@ -144,8 +144,8 @@ struct ScenarioOptions {
   double rate_cap = 0.0;
 };
 
-// Half-open shard interval [begin, end) of a sharded matcher (a
-// MappedMatcher's on-disk extents, a ShardedMatcher's partitions).
+// Half-open shard interval [begin, end) of a MappedMatcher's on-disk
+// shards.
 struct ShardRange {
   std::size_t begin = 0;
   std::size_t end = 0;

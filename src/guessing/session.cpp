@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -31,6 +30,41 @@ namespace io = util::io;
 using util::MutexLock;
 using util::ReleasableMutexLock;
 
+void write_session_config(std::ostream& out, const SessionConfig& config) {
+  io::write_u64(out, config.budget);
+  io::write_u64(out, config.chunk_size);
+  io::write_u64(out, config.non_matched_samples);
+  io::write_u64(out, static_cast<std::uint64_t>(config.unique_tracking));
+  io::write_u64(out, config.sketch_precision_bits);
+  io::write_u64(out, config.pipeline_depth);
+  io::write_u64(out, config.log_progress ? 1 : 0);
+  io::write_u64(out, config.checkpoints.size());
+  for (const std::size_t cp : config.checkpoints) io::write_u64(out, cp);
+}
+
+SessionConfig read_session_config(std::istream& in) {
+  SessionConfig config;
+  config.budget = io::read_u64(in);
+  config.chunk_size = io::read_u64(in);
+  config.non_matched_samples = io::read_u64(in);
+  const std::uint64_t tracking = io::read_u64(in);
+  if (tracking > static_cast<std::uint64_t>(UniqueTracking::kSketch)) {
+    throw std::runtime_error("session config: invalid unique-tracking mode " +
+                             std::to_string(tracking));
+  }
+  config.unique_tracking = static_cast<UniqueTracking>(tracking);
+  config.sketch_precision_bits = static_cast<unsigned>(io::read_u64(in));
+  config.pipeline_depth = io::read_u64(in);
+  config.log_progress = io::read_u64(in) != 0;
+  const std::uint64_t checkpoint_count =
+      io::read_length(in, "session checkpoint schedule");
+  config.checkpoints.reserve(checkpoint_count);
+  for (std::uint64_t i = 0; i < checkpoint_count; ++i) {
+    config.checkpoints.push_back(io::read_u64(in));
+  }
+  return config;
+}
+
 AttackSession::AttackSession(GuessGenerator& generator, MatcherRef matcher,
                              SessionConfig config)
     : generator_(&generator),
@@ -44,7 +78,6 @@ AttackSession::AttackSession(GuessGenerator& generator, MatcherRef matcher,
   pipelined_ =
       config_.pipeline_depth > 0 && !generator_->uses_match_feedback();
   tracker_ = make_unique_tracker(config_.unique_tracking,
-                                 config_.unique_shards,
                                  config_.sketch_precision_bits);
   // The tracker stage is a serial drain task on the pool; without a pool
   // the consumer folds each chunk inline instead.
@@ -291,7 +324,7 @@ void AttackSession::consume_chunk(const std::vector<std::string>& batch,
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::string& guess = batch[i];
     if (membership[i] != 0) {
-      if (matched_set_.insert(guess).second) {
+      if (matched_set_.insert(guess)) {
         result_.matched_passwords.push_back(guess);
         // In pipelined mode the generator may be producing a later chunk
         // on the producer thread right now; it declared feedback unused,
@@ -300,7 +333,7 @@ void AttackSession::consume_chunk(const std::vector<std::string>& batch,
       }
     } else if (result_.sample_non_matched.size() <
                    config_.non_matched_samples &&
-               !guess.empty() && non_matched_seen_.insert(guess).second) {
+               !guess.empty() && non_matched_seen_.insert(guess)) {
       result_.sample_non_matched.push_back(guess);
     }
   }
@@ -633,12 +666,16 @@ void AttackSession::load_state_impl(std::istream& in) {
   }
   result_.matched_passwords = io::read_string_vec(in);
   result_.sample_non_matched = io::read_string_vec(in);
-  matched_set_ = std::unordered_set<std::string>(
-      result_.matched_passwords.begin(), result_.matched_passwords.end());
+  matched_set_.clear();
+  for (const std::string& password : result_.matched_passwords) {
+    matched_set_.insert(password);
+  }
   // The reservoir stops inserting once full, so the seen-set is exactly
   // the sampled set.
-  non_matched_seen_ = std::unordered_set<std::string>(
-      result_.sample_non_matched.begin(), result_.sample_non_matched.end());
+  non_matched_seen_.clear();
+  for (const std::string& guess : result_.sample_non_matched) {
+    non_matched_seen_.insert(guess);
+  }
 
   tracker_->load(in);
   last_synced_unique_ = tracker_->count();

@@ -43,7 +43,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -52,6 +51,7 @@
 #include "guessing/metrics.hpp"
 #include "guessing/unique_tracker.hpp"
 #include "util/annotated_sync.hpp"
+#include "util/flat_string_set.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -66,7 +66,6 @@ struct SessionConfig {
   // Distinct-guess accounting: exact (seed behavior), HLL sketch (bounded
   // memory for huge runs), or off. See unique_tracker.hpp.
   UniqueTracking unique_tracking = UniqueTracking::kExact;
-  std::size_t unique_shards = 1;        // exact-tracker shards
   unsigned sketch_precision_bits = 14;  // sketch resolution (16 KiB at 14)
 
   // Chunks allowed in flight ahead of consumption. 0 = fully serial
@@ -75,12 +74,20 @@ struct SessionConfig {
   // spikes). Only engages for generators that ignore match feedback.
   std::size_t pipeline_depth = 0;
 
-  // Non-owning worker pool for bulk matching, sharded tracker inserts and,
-  // when pipelined, the tracker stage's drain task.
+  // Non-owning worker pool for bulk matching, shard-parallel tracker
+  // inserts and, when pipelined, the tracker stage's drain task.
   util::ThreadPool* pool = nullptr;
 
   bool log_progress = false;
 };
+
+// The one binary codec for a SessionConfig, shared by the scheduler's
+// state file and the dist wire's Assign message: every field except
+// `pool`, a process-local pointer the reader binds itself (the decoded
+// config has pool = nullptr). read_session_config throws
+// std::runtime_error on a truncated stream or an unknown tracking mode.
+void write_session_config(std::ostream& out, const SessionConfig& config);
+SessionConfig read_session_config(std::istream& in);
 
 // Monotone snapshot of a session's progress, refreshed on every step().
 struct SessionStats {
@@ -154,10 +161,10 @@ class AttackSession {
   // Restores a save_state() stream into a freshly constructed session.
   // Must be called before the first step(); throws if the saved run shape
   // (budget / chunk size / checkpoints / tracking mode) does not match
-  // this session's config. pipeline_depth, pool and shard counts may
-  // differ — they do not affect metrics. A load that throws mid-stream
-  // (truncated or corrupt state) leaves the session POISONED: every
-  // subsequent step()/save_state()/result() throws std::logic_error, so a
+  // this session's config. pipeline_depth and pool may differ — they do
+  // not affect metrics. A load that throws mid-stream (truncated or
+  // corrupt state) leaves the session POISONED: every subsequent
+  // step()/save_state()/result() throws std::logic_error, so a
   // half-thawed attack can never run and report silently-wrong metrics.
   void load_state(std::istream& in);
 
@@ -217,8 +224,8 @@ class AttackSession {
   // teardown, both of which run on the consuming thread after the stage
   // threads have drained — mu_ never guards it.
   std::size_t last_synced_unique_ = 0;
-  std::unordered_set<std::string> matched_set_;
-  std::unordered_set<std::string> non_matched_seen_;
+  util::FlatStringSet matched_set_;
+  util::FlatStringSet non_matched_seen_;
   RunResult result_;
   SessionStats stats_;
   std::string generator_name_;  // captured before any background generate()

@@ -1,21 +1,22 @@
 // Distinct-guess accounting behind the attack engine's `unique` metric
 // (Table III's "Unique" column).
 //
-// The seed harness hard-coded an unordered_set; the tracker interface makes
-// the memory/accuracy trade-off a session-level choice:
+// The tracker interface makes the memory/accuracy trade-off a
+// session-level choice:
 //
 //   - kOff:    no tracking, unique reports 0 (seed track_unique=false).
-//   - kExact:  every distinct guess is stored (util::FlatStringSet, an
-//              arena-backed open-addressing set that inserts several times
-//              faster than unordered_set at the 10^7+ scale). Optionally
-//              sharded so one chunk's inserts spread across the pool.
+//   - kExact:  every distinct guess is stored, split by hash over a fixed
+//              number of util::FlatStringSet shards. Each chunk is hashed
+//              once and folded one task per shard when a pool is given,
+//              serially otherwise; the small per-shard tables also make
+//              the serial fold faster than one big set.
 //   - kSketch: HyperLogLog estimate (util::CardinalitySketch), constant
 //              memory (16 KiB at the default precision, ~0.8% error) for
 //              the 10^8–10^9 regime where the exact set cannot fit.
 //
-// Counts from exact trackers are identical for any shard count and any
-// insert order within a chunk sequence, which is what lets the pipelined
-// session report bitwise-identical metrics to a serial run.
+// Exact counts do not depend on the pool or on insert order within a
+// chunk sequence, which is what lets the pipelined session report
+// bitwise-identical metrics to a serial run.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +46,8 @@ class UniqueTracker {
   virtual ~UniqueTracker() = default;
 
   // Folds a whole chunk of guesses into the tracker. `pool` may be used
-  // for shard-parallel inserts; the resulting count must not depend on it.
+  // for shard-parallel inserts; the resulting count and saved state must
+  // not depend on it.
   // Not safe for concurrent calls — the session serializes chunk order.
   virtual void add_batch(const std::vector<std::string>& batch,
                          util::ThreadPool* pool) = 0;
@@ -71,12 +73,8 @@ class UniqueTracker {
   virtual void load(std::istream& in) = 0;
 };
 
-// `exact_shards` (>= 1) spreads the exact set — and, when a pool is
-// present, each chunk's inserts — across independent sub-sets; counts are
-// identical for any shard count. `sketch_precision_bits`: see
-// util::CardinalitySketch.
+// `sketch_precision_bits`: see util::CardinalitySketch.
 std::unique_ptr<UniqueTracker> make_unique_tracker(
-    UniqueTracking mode, std::size_t exact_shards = 1,
-    unsigned sketch_precision_bits = 14);
+    UniqueTracking mode, unsigned sketch_precision_bits = 14);
 
 }  // namespace passflow::guessing

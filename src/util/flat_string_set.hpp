@@ -1,19 +1,22 @@
 // Open-addressing hash set specialized for counting distinct short strings.
 //
-// std::unordered_set<std::string> pays one node allocation per insert, a
-// pointer chase per probe and a full re-hash of every element on growth —
-// at the 10^7+ distinct-guess scale of a guessing run that is the single
-// hottest consumer-side cost. This set stores keys back-to-back in an
-// append-only arena and keeps a flat power-of-two probe table of
-// {hash, entry-index} slots, so:
+// A node-based hash set pays one node allocation per insert, a pointer
+// chase per probe and a full re-hash of every element on growth — at the
+// 10^7+ distinct-guess scale of a guessing run that is the single hottest
+// consumer-side cost. This set stores keys back-to-back in an append-only
+// arena and keeps a flat power-of-two probe table of {hash, entry-index}
+// slots, so:
 //
 //   - inserts do no per-element allocation (amortized arena/table growth);
 //   - probes compare the stored 64-bit hash before touching key bytes;
 //   - growth re-places 16-byte slots by stored hash without re-reading or
 //     re-hashing any key.
 //
-// Deletion is deliberately unsupported — a distinct-guess set only ever
-// grows — which keeps probing tombstone-free. Keys are returned in
+// It is the one in-memory string set of the library: the test-set matcher,
+// the session's matched and non-matched sets, the exact unique tracker,
+// the corpus split and the disk-index builder all use it. Deletion is
+// deliberately unsupported — every one of those sets only grows — which
+// keeps probing tombstone-free. Keys are returned in
 // insertion order by for_each, which is what makes session save/resume
 // byte-stable.
 #pragma once

@@ -1,6 +1,6 @@
 // Fast 64-bit string hashing shared by the guessing engine's probabilistic
-// and sharded data structures (cardinality sketch, flat string set, matcher
-// shards).
+// and sharded data structures (cardinality sketch, flat string set, exact
+// tracker and disk-index shards).
 //
 // std::hash<std::string> is avoided here on purpose: its value is
 // implementation-defined, so anything persisted (session checkpoints,

@@ -31,7 +31,6 @@ AssignMsg sample_assign() {
   assign.session.chunk_size = 777;
   assign.session.non_matched_samples = 13;
   assign.session.unique_tracking = guessing::UniqueTracking::kSketch;
-  assign.session.unique_shards = 4;
   assign.session.sketch_precision_bits = 12;
   assign.session.pipeline_depth = 3;
   assign.session.log_progress = true;
@@ -69,7 +68,6 @@ TEST(Protocol, AssignRoundTripsEveryField) {
   EXPECT_EQ(out.session.non_matched_samples,
             assign.session.non_matched_samples);
   EXPECT_EQ(out.session.unique_tracking, assign.session.unique_tracking);
-  EXPECT_EQ(out.session.unique_shards, assign.session.unique_shards);
   EXPECT_EQ(out.session.sketch_precision_bits,
             assign.session.sketch_precision_bits);
   EXPECT_EQ(out.session.pipeline_depth, assign.session.pipeline_depth);

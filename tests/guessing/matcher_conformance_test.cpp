@@ -1,11 +1,10 @@
 // One behavioral contract, every Matcher implementation.
 //
-// Each test runs value-parameterized against HashSetMatcher, ShardedMatcher
-// at K in {1, 4, 7}, and the disk-backed MappedMatcher (built through
-// IndexBuilder into a temp file). Anything added to the Matcher interface
-// belongs here first: the attack engine treats all implementations as
-// interchangeable, so behavioral drift between them silently corrupts
-// metrics.
+// Each test runs value-parameterized against HashSetMatcher and the
+// disk-backed MappedMatcher (built through IndexBuilder into a temp file).
+// Anything added to the Matcher interface belongs here first: the attack
+// engine treats all implementations as interchangeable, so behavioral
+// drift between them silently corrupts metrics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,9 +26,6 @@ class MatcherConformance : public ::testing::TestWithParam<std::string> {
       const std::vector<std::string>& keys) {
     const std::string& kind = GetParam();
     if (kind == "hashset") return std::make_unique<HashSetMatcher>(keys);
-    if (kind == "sharded_k1") return std::make_unique<ShardedMatcher>(keys, 1);
-    if (kind == "sharded_k4") return std::make_unique<ShardedMatcher>(keys, 4);
-    if (kind == "sharded_k7") return std::make_unique<ShardedMatcher>(keys, 7);
     EXPECT_EQ(kind, "mapped");
     static int counter = 0;
     const std::string path = ::testing::TempDir() + "conformance_" +
@@ -145,8 +141,7 @@ TEST_P(MatcherConformance, MissHeavyWorkload) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMatchers, MatcherConformance,
-    ::testing::Values("hashset", "sharded_k1", "sharded_k4", "sharded_k7",
-                      "mapped"),
+    ::testing::Values("hashset", "mapped"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

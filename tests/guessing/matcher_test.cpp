@@ -27,13 +27,6 @@ TEST(Matcher, EmptyTestSet) {
   EXPECT_FALSE(matcher.contains("anything"));
 }
 
-TEST(Matcher, ShardedRejectsZeroShards) {
-  // shard_of computes hash % num_shards; zero shards must fail loudly at
-  // construction, not divide by zero on the first probe.
-  EXPECT_THROW(ShardedMatcher({"alpha"}, 0), std::invalid_argument);
-  EXPECT_THROW(ShardedMatcher({}, 0), std::invalid_argument);
-}
-
 TEST(Matcher, ContainsBatchMatchesPerItemProbes) {
   HashSetMatcher matcher({"alpha", "beta", "gamma"});
   const std::vector<std::string> batch = {"alpha", "nope", "gamma", "",
@@ -43,32 +36,6 @@ TEST(Matcher, ContainsBatchMatchesPerItemProbes) {
   ASSERT_EQ(membership.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(membership[i] != 0, matcher.contains(batch[i])) << batch[i];
-  }
-}
-
-TEST(Matcher, ContainsBatchPooledAgreesWithSerial) {
-  // Above the parallel threshold, pooled and serial bulk matching must
-  // fill identical membership vectors (for both matcher layouts).
-  std::vector<std::string> test_set;
-  for (std::size_t i = 0; i < 500; ++i) {
-    test_set.push_back("pw" + std::to_string(i * 3));
-  }
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 3000; ++i) {
-    batch.push_back("pw" + std::to_string(i));
-  }
-  util::ThreadPool pool(4);
-
-  const HashSetMatcher hashset(test_set);
-  const ShardedMatcher sharded(test_set, 4);
-  for (const Matcher* matcher :
-       {static_cast<const Matcher*>(&hashset),
-        static_cast<const Matcher*>(&sharded)}) {
-    std::vector<char> serial;
-    std::vector<char> pooled;
-    matcher->contains_batch(batch, nullptr, serial);
-    matcher->contains_batch(batch, &pool, pooled);
-    EXPECT_EQ(serial, pooled) << matcher->name();
   }
 }
 

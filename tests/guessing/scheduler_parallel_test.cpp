@@ -1,5 +1,5 @@
 // AttackScheduler concurrency suite, run under the `thread_safety` CTest
-// label (and its TSan/ASan jobs): multi-driver run() over a shared sharded
+// label (and its TSan/ASan jobs): multi-driver run() over a shared
 // matcher and one pool must reproduce every scenario's solo metrics
 // bitwise; scenarios added/paused/resumed/removed mid-run must neither
 // race nor corrupt anyone else's run; and the fleet-wide merged sketch
@@ -53,12 +53,12 @@ RunResult expected_run(const Matcher& matcher, std::size_t period,
 }
 
 // Four concurrent drivers, four scenarios with pipelined sessions, one
-// shared ShardedMatcher, one pool: every scenario must land exactly on its
+// shared HashSetMatcher, one pool: every scenario must land exactly on its
 // solo metrics no matter how slices interleaved.
 TEST(SchedulerParallel, ConcurrentRunMatchesSoloMetricsBitwise) {
   const auto targets = mixing_targets();
-  auto matcher = std::make_shared<const ShardedMatcher>(targets, 4);
-  HashSetMatcher reference_matcher(targets);
+  auto matcher = std::make_shared<const HashSetMatcher>(targets);
+  const HashSetMatcher& reference_matcher = *matcher;
   util::ThreadPool pool(4);
 
   SchedulerConfig fleet;
@@ -75,7 +75,6 @@ TEST(SchedulerParallel, ConcurrentRunMatchesSoloMetricsBitwise) {
     ScenarioOptions options;
     options.session = chunked_config(30000, 1000);
     options.session.pipeline_depth = (i % 2 == 0) ? 2 : 0;  // mixed modes
-    options.session.unique_shards = (i == 1) ? 4 : 1;
     ids.push_back(
         scheduler.add_scenario(*generators[i], MatcherRef(matcher), options));
   }
@@ -99,8 +98,8 @@ TEST(SchedulerParallel, ConcurrentRunMatchesSoloMetricsBitwise) {
 // assertions are deterministic even though the interleaving is not.
 TEST(SchedulerParallel, MidRunAddRemovePauseResume) {
   const auto targets = mixing_targets();
-  auto matcher = std::make_shared<const ShardedMatcher>(targets, 2);
-  HashSetMatcher reference_matcher(targets);
+  auto matcher = std::make_shared<const HashSetMatcher>(targets);
+  const HashSetMatcher& reference_matcher = *matcher;
   util::ThreadPool pool(4);
 
   SchedulerConfig fleet;

@@ -421,6 +421,36 @@ TEST(AttackSchedulerState, CorruptStreamLeavesThawingSchedulerUntouched) {
   }
 }
 
+TEST(AttackSchedulerState, PreviousFormatVersionIsRejectedAsBadMagic) {
+  // PFSCHD1 echoed an exact-tracker shard count that PFSCHD2 dropped; the
+  // version lives in the magic, so an old stream fails before any field
+  // is read.
+  HashSetMatcher matcher({"x"});
+  SchedulerConfig fleet;
+  AttackScheduler source(fleet);
+  MixingGenerator generator;
+  ScenarioOptions options;
+  options.session = chunked_config(2000, 500);
+  source.add_scenario(generator, matcher, options);
+  std::stringstream frozen;
+  source.save_state(frozen);
+  const std::string good = frozen.str();
+  ASSERT_EQ(good.substr(0, 8), "PFSCHD2\n");
+
+  GeneratorBank bank{{}, matcher};
+  bank.generators.push_back(std::make_unique<MixingGenerator>());
+  std::stringstream old_version("PFSCHD1\n" + good.substr(8));
+  AttackScheduler target(fleet);
+  try {
+    target.load_state(old_version, bank.resolver());
+    ADD_FAILURE() << "a PFSCHD1 stream loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("bad magic"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(target.scenario_count(), 0u);
+}
+
 TEST(AttackSchedulerState, RemovedScenariosAreExcludedFromTheSave) {
   HashSetMatcher matcher(mixing_targets());
   SchedulerConfig fleet;

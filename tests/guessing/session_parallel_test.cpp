@@ -1,12 +1,13 @@
 // Determinism of the pipelined AttackSession: the persistent producer at
 // any depth, its tracker stage (a drain task on the pool) or inline fold
-// (no pool), sharded matching across the pool, and mid-pipeline
+// (no pool), shard-parallel matching across the pool, and mid-pipeline
 // save/resume must all reproduce the serial run's metrics exactly. Runs
 // under the `thread_safety` CTest label (and its TSan job); the pooled
 // samplers live in parallel_harness_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "guessing/mapped_matcher.hpp"
 #include "guessing/session.hpp"
 #include "guessing/static_sampler.hpp"
 #include "reference_harness.hpp"
@@ -85,23 +87,32 @@ TEST(SessionParallel, EveryPipelineDepthMatchesSerialBitwise) {
   }
 }
 
-TEST(SessionParallel, DepthWithShardedMatcherAndShardedTracker) {
+TEST(SessionParallel, DepthWithMappedMatcherAndShardedTracker) {
   const auto targets = mixing_targets();
   HashSetMatcher reference_matcher(targets);
   util::ThreadPool pool(4);
   const RunResult expected = expected_mixing_run(reference_matcher, 40000, 2048);
 
-  ShardedMatcher sharded(targets, 4);
-  MixingGenerator generator;
-  SessionConfig config;
-  config.budget = 40000;
-  config.chunk_size = 2048;
-  config.pipeline_depth = 4;
-  config.unique_shards = 4;
-  config.pool = &pool;
-  AttackSession session(generator, sharded, config);
-  session.run();
-  PF_EXPECT_SAME_RUN(expected, session.result());
+  // A 3-shard disk index: its contains_batch runs one pool task per shard
+  // inside the pooled depth-4 pipeline, next to the shard-parallel
+  // tracker fold.
+  const std::string path = ::testing::TempDir() + "session_parallel.pfidx";
+  IndexBuilderConfig index_config;
+  index_config.num_shards = 3;
+  IndexBuilder::build(targets, path, index_config);
+  {
+    MappedMatcher index(path);
+    MixingGenerator generator;
+    SessionConfig config;
+    config.budget = 40000;
+    config.chunk_size = 2048;
+    config.pipeline_depth = 4;
+    config.pool = &pool;
+    AttackSession session(generator, index, config);
+    session.run();
+    PF_EXPECT_SAME_RUN(expected, session.result());
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SessionParallel, PipelinedSkipsOnMatchForFeedbackFreeGenerators) {

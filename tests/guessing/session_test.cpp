@@ -1,8 +1,7 @@
 // AttackSession equivalence and behavior suite (serial paths): the session
-// must reproduce the seed guessing loop's metrics bitwise, sharded
-// matchers must agree with the single hash set for every shard count, the
-// sketch tracker must land within 2% of exact on a million-guess stream,
-// and save/resume must be indistinguishable from an uninterrupted run.
+// must reproduce the seed guessing loop's metrics bitwise, the sketch
+// tracker must land within 2% of exact on a million-guess stream, and
+// save/resume must be indistinguishable from an uninterrupted run.
 // The scripted-stream bookkeeping cases live in harness_test.cpp, the
 // pipelined (multi-threaded) paths in session_parallel_test.cpp.
 #include "guessing/session.hpp"
@@ -191,60 +190,6 @@ TEST(AttackSession, FeedbackGeneratorReceivesOnMatchSerially) {
   PF_EXPECT_SAME_RUN(expected, session.result());
 }
 
-// ---- sharded matcher -----------------------------------------------------
-
-TEST(ShardedMatcher, AgreesWithHashSetOnProbes) {
-  const auto targets = mixing_targets();
-  HashSetMatcher reference(targets);
-  for (const std::size_t shards : {1u, 4u, 7u}) {
-    ShardedMatcher sharded(targets, shards);
-    EXPECT_EQ(sharded.test_set_size(), reference.test_set_size());
-    EXPECT_EQ(sharded.shard_count(), shards);
-    MixingGenerator gen;
-    std::vector<std::string> probes;
-    gen.generate(5000, probes);
-    for (const auto& probe : probes) {
-      EXPECT_EQ(sharded.contains(probe), reference.contains(probe)) << probe;
-    }
-  }
-}
-
-TEST(ShardedMatcher, ShardsPartitionTheTestSet) {
-  const auto targets = mixing_targets();
-  ShardedMatcher sharded(targets, 5);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    total += sharded.shard_size(s);
-  }
-  EXPECT_EQ(total, sharded.test_set_size());
-}
-
-TEST(ShardedMatcher, SessionMetricsIdenticalForAnyShardCount) {
-  const auto targets = mixing_targets();
-  HashSetMatcher reference_matcher(targets);
-
-  MixingGenerator ref_gen;
-  ReferenceConfig ref_config;
-  ref_config.budget = 30000;
-  ref_config.chunk_size = 1000;
-  const RunResult expected =
-      reference_run(ref_gen, reference_matcher, ref_config);
-  ASSERT_GT(expected.final().matched, 0u);
-
-  for (const std::size_t shards : {1u, 4u, 7u}) {
-    ShardedMatcher sharded(targets, shards);
-    MixingGenerator gen;
-    AttackSession session(gen, sharded, base_config(30000));
-    session.run();
-    const RunResult actual = session.result();
-    PF_EXPECT_SAME_RUN(expected, actual);
-  }
-}
-
-TEST(ShardedMatcher, ZeroShardsThrows) {
-  EXPECT_THROW(ShardedMatcher({}, 0), std::invalid_argument);
-}
-
 // ---- sketch unique tracking ----------------------------------------------
 
 TEST(AttackSession, SketchUniqueWithinTwoPercentOnMillionGuesses) {
@@ -288,14 +233,10 @@ TEST(AttackSession, ExactShardedTrackerCountsIdentically) {
   ref_config.chunk_size = 1000;
   const RunResult expected = reference_run(ref_gen, matcher, ref_config);
 
-  for (const std::size_t shards : {2u, 5u}) {
-    SessionConfig config = base_config(30000);
-    config.unique_shards = shards;
-    MixingGenerator gen;
-    AttackSession session(gen, matcher, config);
-    session.run();
-    PF_EXPECT_SAME_RUN(expected, session.result());
-  }
+  MixingGenerator gen;
+  AttackSession session(gen, matcher, base_config(30000));
+  session.run();
+  PF_EXPECT_SAME_RUN(expected, session.result());
 }
 
 // ---- save / resume -------------------------------------------------------
